@@ -16,29 +16,24 @@ from repro.graphs.graph import Graph
 from repro.graphs.biconnectivity import is_biconnected
 from repro.graphs.unionfind import is_connected_edges
 from repro.graphs.vertex_connectivity import is_k_connected
-from repro.params import QCompositeParams
-from repro.simulation.trials import sample_secure_edges
+from repro.keygraphs.uniform_graph import uniform_intersection_edges
 
 
-def _threshold_params(n: int, k: int) -> QCompositeParams:
+def _threshold_sample(n: int, k: int, seed: int):
+    """One key-ring deployment thinned at the alpha = 1 k-threshold channel."""
     p = channel_prob_for_alpha(n, 70, 10000, 2, 1.0, k)
-    return QCompositeParams(
-        num_nodes=n, key_ring_size=70, pool_size=10000, overlap=2, channel_prob=p
-    )
+    edges = uniform_intersection_edges(n, 70, 10000, 2, seed=seed)
+    return n, edges[np.random.default_rng(seed).random(edges.shape[0]) < p]
 
 
 @pytest.fixture(scope="module")
 def big_sample():
-    params = _threshold_params(1000, 1)
-    edges = sample_secure_edges(params, np.random.default_rng(0))
-    return params.num_nodes, edges
+    return _threshold_sample(1000, 1, 0)
 
 
 @pytest.fixture(scope="module")
 def mid_sample():
-    params = _threshold_params(300, 3)
-    edges = sample_secure_edges(params, np.random.default_rng(1))
-    return params.num_nodes, edges
+    return _threshold_sample(300, 3, 1)
 
 
 def test_bench_unionfind_k1(benchmark, big_sample):

@@ -73,16 +73,13 @@ def test_bench_figure1_single_point_trial(benchmark):
     """Micro-bench: one Monte Carlo trial at the heaviest Figure 1 point."""
     import numpy as np_
 
-    from repro.params import QCompositeParams
-    from repro.simulation.trials import connectivity_trial
+    from repro.graphs.unionfind import is_connected_pair_keys
+    from repro.study.metrics import sample_deployment
 
-    params = QCompositeParams(
-        num_nodes=1000, key_ring_size=88, pool_size=10000, overlap=2,
-        channel_prob=1.0,
-    )
     seeds = iter(range(10_000))
 
     def one_trial():
-        return connectivity_trial(params, np_.random.default_rng(next(seeds)))
+        dep = sample_deployment(1000, 10000, 88, 2, np_.random.default_rng(next(seeds)))
+        return is_connected_pair_keys(1000, dep.candidates)
 
     benchmark(one_trial)

@@ -1,78 +1,21 @@
-"""Sweep-engine bench: shared deployments vs the legacy per-point path.
+"""Shared-deployment sweep micro-bench: one ``K`` column of Figure 1.
 
-The quick Figure 1 workload (all six curves, default ring grid,
-``REPRO_TRIALS=20``) runs on both backends.  The batched engine samples
-one deployment per ``(K, trial)`` and derives every ``(q, p)`` point
-from it (nested thinning + vectorized min-label connectivity), so it
-must beat the per-point path — which resamples rings and recounts key
-overlaps for each of the six curves — by at least 3x end to end.
+One sampled deployment per ``(K, trial)`` serves all six ``(q, p)``
+curves (nested thinning + vectorized min-label connectivity); this
+times one such column end to end through the study compiler.
 """
 
 from __future__ import annotations
 
-import time
-
-from benchmarks.conftest import emit, run_once
-from repro.experiments.figure1 import default_ring_sizes, render_figure1, run_figure1
+from benchmarks.conftest import run_once
+from repro.experiments.figure1 import FIGURE1_CURVES, build_figure1_study
 from repro.simulation.engine import trials_from_env
-
-SPEEDUP_FLOOR = 3.0
-
-
-def test_bench_sweep_vs_legacy_quick_figure1(benchmark):
-    trials = trials_from_env(20)
-    ring_sizes = default_ring_sizes()
-
-    start = time.perf_counter()
-    legacy = run_figure1(
-        trials=trials, ring_sizes=ring_sizes, backend="legacy", workers=1
-    )
-    legacy_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sweep = run_once(
-        benchmark,
-        run_figure1,
-        trials=trials,
-        ring_sizes=ring_sizes,
-        backend="sweep",
-        workers=1,
-    )
-    sweep_s = time.perf_counter() - start
-
-    speedup = legacy_s / sweep_s
-    emit(
-        "Sweep engine vs legacy per-point path (quick Figure 1)",
-        f"trials={trials}, rings={len(ring_sizes)}, curves=6\n"
-        f"legacy: {legacy_s:.2f}s ({6 * len(ring_sizes) * trials} deployments)\n"
-        f"sweep:  {sweep_s:.2f}s ({len(ring_sizes) * trials} deployments)\n"
-        f"speedup: {speedup:.2f}x\n\n"
-        + render_figure1(sweep),
-    )
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"sweep engine only {speedup:.2f}x faster than legacy "
-        f"(needs >= {SPEEDUP_FLOOR}x): legacy {legacy_s:.2f}s, sweep {sweep_s:.2f}s"
-    )
-
-    # Both backends estimate the same model: CIs must overlap pointwise.
-    for ps, pl in zip(sweep.points, legacy.points):
-        assert ps.point == pl.point
-        assert ps.estimate.ci_low <= pl.estimate.ci_high
-        assert pl.estimate.ci_low <= ps.estimate.ci_high
 
 
 def test_bench_sweep_single_column(benchmark):
     """Micro-bench: one K column (all trials, all six curves)."""
-    from repro.simulation.sweep import SweepSpec, run_sweep_trials
-
-    spec = SweepSpec(
-        num_nodes=1000,
-        pool_size=10000,
-        ring_sizes=(60,),
-        curves=tuple((q, p) for q, p in [(2, 1.0), (2, 0.5), (2, 0.2),
-                                         (3, 1.0), (3, 0.5), (3, 0.2)]),
-        trials=trials_from_env(10),
-        seed=1,
+    study = build_figure1_study(
+        trials=trials_from_env(10), ring_sizes=(60,), curves=FIGURE1_CURVES, seed=1
     )
-    counts = run_once(benchmark, run_sweep_trials, spec, workers=1)
-    assert counts.shape == (1, 6)
+    result = run_once(benchmark, study.run, workers=1)
+    assert result["figure1"].values.shape[-2:] == (6, 1)

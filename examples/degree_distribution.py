@@ -19,7 +19,7 @@ from repro.core.degree_distribution import lambda_nh_exact
 from repro.core.scaling import channel_prob_for_alpha
 from repro.params import QCompositeParams
 from repro.probability.poisson import poisson_pmf
-from repro.simulation.runners import estimate_connectivity, sample_degree_counts
+from repro.study import MetricSpec, Scenario, run_scenario
 from repro.utils.tables import format_table
 
 
@@ -32,8 +32,26 @@ def main() -> None:
     trials = 200
     print(f"at the connectivity threshold: {params.describe()} (alpha = 0)\n")
 
+    # One scenario: every degree count and connectivity are metrics of
+    # the same sampled deployments.
+    result = run_scenario(
+        Scenario(
+            name="degree_distribution",
+            num_nodes=n,
+            pool_size=P,
+            ring_sizes=(K,),
+            curves=((q, p),),
+            metrics=(
+                MetricSpec("connectivity"),
+                *(MetricSpec("degree_count", h=h) for h in (0, 1, 2)),
+            ),
+            trials=trials,
+            seed=31,
+        )
+    )
+
     for h in (0, 1, 2):
-        counts = sample_degree_counts(params, h, trials, seed=31 + h)
+        counts = result.series(f"degree_count[h={h}]").astype(np.int64)
         lam = lambda_nh_exact(n, params.edge_probability(), h)
         hist = np.bincount(counts, minlength=int(counts.max()) + 1)
 
@@ -51,9 +69,8 @@ def main() -> None:
         print()
 
     # The h = 0 connection to Theorem 1.
-    counts0 = sample_degree_counts(params, 0, trials, seed=31)
-    no_isolated = float((counts0 == 0).mean())
-    connected = estimate_connectivity(params, trials, seed=77).estimate
+    no_isolated = float((result.series("degree_count[h=0]") == 0).mean())
+    connected = result.bernoulli("connectivity").estimate
     lam0 = lambda_nh_exact(n, params.edge_probability(), 0)
     print(
         format_table(

@@ -20,7 +20,8 @@ The package layers:
 * :mod:`repro.channels` — on/off and disk channel models;
 * :mod:`repro.wsn` — deployed networks, routing, failures, capture attacks;
 * :mod:`repro.core` — Theorem 1, Lemmas 1/7/8/9, design guidelines (Eq. 9);
-* :mod:`repro.simulation` — the Monte Carlo engine and trial protocols;
+* :mod:`repro.simulation` — the Monte Carlo engine, worker pools and
+  fault-tolerant scheduler;
 * :mod:`repro.study` — the declarative Scenario/Study layer: every
   experiment as a frozen JSON config compiled onto shared-deployment
   sweeps;
@@ -30,14 +31,19 @@ The package layers:
 Quickstart::
 
     from repro import QCompositeParams, predict_k_connectivity
-    from repro.simulation import estimate_connectivity
+    from repro.study import MetricSpec, Scenario, run_scenario
 
     params = QCompositeParams(
         num_nodes=1000, key_ring_size=45, pool_size=10000,
         overlap=2, channel_prob=0.5,
     )
     print(predict_k_connectivity(params, k=1).probability)   # Theorem 1
-    print(estimate_connectivity(params, trials=100).estimate)  # Monte Carlo
+    scenario = Scenario(
+        name="quickstart", num_nodes=1000, pool_size=10000,
+        ring_sizes=(45,), curves=((2, 0.5),),
+        metrics=(MetricSpec("connectivity"),), trials=100,
+    )
+    print(run_scenario(scenario).bernoulli("connectivity").estimate)  # Monte Carlo
 """
 
 from repro.exceptions import (

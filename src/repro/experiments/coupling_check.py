@@ -28,12 +28,11 @@ from repro.probability.couplings import (
     coupling_success_probability,
 )
 from repro.probability.hypergeometric import overlap_survival
-from repro.simulation.engine import run_trials, trials_from_env
+from repro.simulation.engine import trials_from_env
 from repro.simulation.estimators import BernoulliEstimate
 from repro.simulation.results import CurvePoint, ExperimentResult
 from repro.study import Scenario, Study
 from repro.utils.tables import format_table
-import functools
 
 __all__ = [
     "build_coupling_study",
@@ -106,42 +105,24 @@ def run_coupling_check(
     q: int = 2,
     seed: int = 20170610,
     workers: Optional[int] = None,
-    backend: str = "study",
 ) -> ExperimentResult:
     """Measure coupling success and subset validity across ``n``.
 
-    The ``"study"`` backend runs the registered ``"coupling"``
-    protocol through the study layer (same per-trial seeds, so the two
-    backends are bit-identical); ``backend="legacy"`` calls the trial
-    engine directly.
+    Runs the registered ``"coupling"`` protocol through the study
+    layer.
     """
-    from repro.exceptions import ParameterError
-
-    if backend not in ("study", "legacy"):
-        raise ParameterError(f"unknown backend {backend!r}; use 'study' or 'legacy'")
     trials = trials if trials is not None else trials_from_env(40, full=200)
-    if backend == "study":
-        study = build_coupling_study(
-            trials, num_nodes_grid, key_ring_size, pool_size, q, seed
-        )
-        study_result = study.run(workers=workers)
+    study = build_coupling_study(
+        trials, num_nodes_grid, key_ring_size, pool_size, q, seed
+    )
+    study_result = study.run(workers=workers)
     points: List[CurvePoint] = []
     for n in num_nodes_grid:
-        if backend == "study":
-            scenario_result = study_result[f"coupling_n{n}"]
-            success_vals = scenario_result.series("success")
-            subset_vals = scenario_result.series("subset_ok")
-            successes = int(success_vals.sum())
-            violations = int(((success_vals == 1.0) & (subset_vals == 0.0)).sum())
-        else:
-            outcomes = run_trials(
-                functools.partial(coupling_trial, n, key_ring_size, pool_size, q),
-                trials,
-                seed=seed + n,
-                workers=workers,
-            )
-            successes = sum(1 for ok, _ in outcomes if ok)
-            violations = sum(1 for ok, sub in outcomes if ok and not sub)
+        scenario_result = study_result[f"coupling_n{n}"]
+        success_vals = scenario_result.series("success")
+        subset_vals = scenario_result.series("subset_ok")
+        successes = int(success_vals.sum())
+        violations = int(((success_vals == 1.0) & (subset_vals == 0.0)).sum())
         x = binomial_key_probability(n, key_ring_size, pool_size)
         y = coupled_er_probability(x, pool_size, q)
         s = overlap_survival(key_ring_size, pool_size, q)
@@ -166,7 +147,6 @@ def run_coupling_check(
             "pool_size": pool_size,
             "q": q,
             "seed": seed,
-            "backend": backend,
         },
         points=points,
     )

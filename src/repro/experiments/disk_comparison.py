@@ -17,31 +17,20 @@ same narrow window, supporting the conjecture qualitatively.
 
 from __future__ import annotations
 
-import functools
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from repro.channels.disk import DiskChannel
 from repro.core.theorem1 import predict_k_connectivity
-from repro.exceptions import ParameterError
-from repro.graphs.unionfind import is_connected_edges
-from repro.keygraphs.rings import sample_uniform_rings
-from repro.keygraphs.uniform_graph import edges_from_rings
 from repro.params import QCompositeParams
-from repro.simulation.engine import run_trials, trials_from_env
-from repro.simulation.estimators import BernoulliEstimate
+from repro.simulation.engine import trials_from_env
 from repro.simulation.results import CurvePoint, ExperimentResult
-from repro.simulation.runners import estimate_connectivity
 from repro.study import MetricSpec, Scenario, Study
-from repro.utils.rng import spawn_generators
 from repro.utils.tables import format_table
 
 __all__ = [
     "build_disk_study",
     "run_disk_comparison",
     "render_disk_comparison",
-    "disk_connectivity_trial",
 ]
 
 
@@ -82,23 +71,6 @@ def build_disk_study(
     )
 
 
-def disk_connectivity_trial(
-    num_nodes: int,
-    key_ring_size: int,
-    pool_size: int,
-    q: int,
-    radius: float,
-    rng: np.random.Generator,
-) -> bool:
-    """One deployment under the disk channel → connected?"""
-    ring_rng, place_rng = spawn_generators(rng, 2)
-    rings = sample_uniform_rings(num_nodes, key_ring_size, pool_size, ring_rng)
-    key_edges = edges_from_rings(rings, q)
-    realization = DiskChannel(radius, torus=True).sample(num_nodes, place_rng)
-    mask = realization.edge_mask(key_edges)
-    return is_connected_edges(num_nodes, key_edges[mask])
-
-
 def run_disk_comparison(
     trials: Optional[int] = None,
     ring_sizes: Sequence[int] = (40, 50, 60, 70, 80),
@@ -108,22 +80,15 @@ def run_disk_comparison(
     q: int = 2,
     seed: int = 20170612,
     workers: Optional[int] = None,
-    backend: str = "study",
 ) -> ExperimentResult:
-    """Sweep K under both channel models at one matched marginal ``p``.
-
-    ``backend="legacy"`` keeps the original unpaired per-point
-    sampling as a cross-check.
-    """
-    if backend not in ("study", "legacy"):
-        raise ParameterError(f"unknown backend {backend!r}; use 'study' or 'legacy'")
+    """Sweep K under both channel models at one matched marginal ``p``."""
     trials = trials if trials is not None else trials_from_env(60, full=300)
     disk = DiskChannel.for_edge_probability(channel_prob, torus=True)
-    if backend == "study":
-        study = build_disk_study(
-            trials, ring_sizes, channel_prob, num_nodes, pool_size, q, seed
-        )
-        study_result = study.run(workers=workers)
+    study = build_disk_study(
+        trials, ring_sizes, channel_prob, num_nodes, pool_size, q, seed
+    )
+    study_result = study.run(workers=workers)
+    curve = (q, channel_prob)
     points: List[CurvePoint] = []
     for ring in ring_sizes:
         params = QCompositeParams(
@@ -133,32 +98,8 @@ def run_disk_comparison(
             overlap=q,
             channel_prob=channel_prob,
         )
-        if backend == "study":
-            curve = (q, channel_prob)
-            onoff_est = study_result["disk_onoff"].bernoulli(
-                "connectivity", curve, ring
-            )
-            disk_est = study_result["disk_disk"].bernoulli(
-                "connectivity", curve, ring
-            )
-        else:
-            onoff_est = estimate_connectivity(
-                params, trials, seed=seed + ring, workers=workers
-            )
-            disk_outcomes = run_trials(
-                functools.partial(
-                    disk_connectivity_trial,
-                    num_nodes,
-                    ring,
-                    pool_size,
-                    q,
-                    disk.radius,
-                ),
-                trials,
-                seed=seed + 100000 + ring,
-                workers=workers,
-            )
-            disk_est = BernoulliEstimate.from_counts(sum(disk_outcomes), trials)
+        onoff_est = study_result["disk_onoff"].bernoulli("connectivity", curve, ring)
+        disk_est = study_result["disk_disk"].bernoulli("connectivity", curve, ring)
         points.append(
             CurvePoint(
                 point={
@@ -183,7 +124,6 @@ def run_disk_comparison(
             "q": q,
             "radius": disk.radius,
             "seed": seed,
-            "backend": backend,
         },
         points=points,
     )

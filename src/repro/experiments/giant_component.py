@@ -13,20 +13,13 @@ should track at matched edge probability.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from repro.exceptions import ParameterError
-from repro.graphs.unionfind import UnionFind
-from repro.params import QCompositeParams
 from repro.probability.hypergeometric import overlap_survival
-from repro.simulation.engine import run_trials, trials_from_env
+from repro.simulation.engine import trials_from_env
 from repro.simulation.estimators import BernoulliEstimate
 from repro.simulation.results import CurvePoint, ExperimentResult
-from repro.simulation.trials import sample_secure_edges
 from repro.study import MetricSpec, Scenario, Study
 from repro.utils.tables import format_table
 
@@ -34,7 +27,6 @@ __all__ = [
     "build_giant_study",
     "run_giant_component",
     "render_giant_component",
-    "giant_component_trial",
     "er_giant_fraction",
 ]
 
@@ -54,17 +46,6 @@ def er_giant_fraction(mean_degree: float, *, tol: float = 1e-12) -> float:
             return nxt
         rho = nxt
     return rho
-
-
-def giant_component_trial(
-    params: QCompositeParams, rng: np.random.Generator
-) -> float:
-    """One deployment → fraction of nodes in the largest component."""
-    edges = sample_secure_edges(params, rng)
-    uf = UnionFind(params.num_nodes)
-    for u, v in edges:
-        uf.union(int(u), int(v))
-    return uf.component_sizes()[0] / params.num_nodes
 
 
 def _channel_probs(
@@ -130,43 +111,22 @@ def run_giant_component(
     q: int = 2,
     seed: int = 20170613,
     workers: Optional[int] = None,
-    backend: str = "study",
 ) -> ExperimentResult:
     """Sweep the mean degree ``c``; measure giant-component fractions.
 
     The channel probability is solved from ``c = n·p·s(K,P,q)`` so the
     key-graph structure is held fixed while the composed graph crosses
-    the phase transition.  ``backend="legacy"`` keeps the original
-    independent-per-point sampling as a cross-check.
+    the phase transition.
     """
-    if backend not in ("study", "legacy"):
-        raise ParameterError(f"unknown backend {backend!r}; use 'study' or 'legacy'")
     trials = trials if trials is not None else trials_from_env(40, full=200)
     probs = _channel_probs(mean_degrees, num_nodes, key_ring_size, pool_size, q)
-    if backend == "study":
-        study = build_giant_study(
-            trials, mean_degrees, num_nodes, key_ring_size, pool_size, q, seed
-        )
-        scenario_result = study.run(workers=workers)["giant"]
+    study = build_giant_study(
+        trials, mean_degrees, num_nodes, key_ring_size, pool_size, q, seed
+    )
+    scenario_result = study.run(workers=workers)["giant"]
     points: List[CurvePoint] = []
     for c, p in zip(mean_degrees, probs):
-        params = QCompositeParams(
-            num_nodes=num_nodes,
-            key_ring_size=key_ring_size,
-            pool_size=pool_size,
-            overlap=q,
-            channel_prob=p,
-        )
-        if backend == "study":
-            arr = scenario_result.series("giant_fraction", (q, p), key_ring_size)
-        else:
-            fractions = run_trials(
-                functools.partial(giant_component_trial, params),
-                trials,
-                seed=seed + int(c * 100),
-                workers=workers,
-            )
-            arr = np.array(fractions)
+        arr = scenario_result.series("giant_fraction", (q, p), key_ring_size)
         # Estimate slot: fraction of deployments with a >10% giant part.
         giant_hits = int((arr > 0.1).sum())
         points.append(
@@ -190,7 +150,6 @@ def run_giant_component(
             "pool_size": pool_size,
             "q": q,
             "seed": seed,
-            "backend": backend,
         },
         points=points,
     )

@@ -13,24 +13,20 @@ exactly like the homogeneous ``zero_one`` check: the whole growth
 sweep is *one* class-mix :class:`~repro.study.scenario.Scenario` whose
 curves carry the per-``n`` channel *scale* ``c`` (a curve's ``p``
 multiplies the whole ``α_ij`` matrix, so all offsets at one ``n`` ride
-the same sampled worlds via nested thinning).  ``backend="legacy"``
-re-estimates every ``(n, α)`` point with independent per-point
-sampling of the heterogeneous model as a cross-check.
+the same sampled worlds via nested thinning).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.heterogeneous import (
     class_edge_probabilities,
     het_channel_scale_for_alpha,
     het_limit_probability,
 )
-from repro.exceptions import ParameterError
 from repro.simulation.engine import trials_from_env
 from repro.simulation.results import CurvePoint, ExperimentResult
-from repro.simulation.runners import estimate_het_connectivity
 from repro.study import ClassMix, MetricSpec, Scenario, Study
 from repro.utils.tables import format_table
 
@@ -111,23 +107,15 @@ def run_het_zero_one(
     q: int = 1,
     seed: int = 20190826,
     workers: Optional[int] = None,
-    backend: str = "study",
 ) -> ExperimentResult:
     """Estimate P[connected] of the class mix at fixed ±α across ``n``.
 
-    The default ``"study"`` backend runs the single class-mix scenario
-    of :func:`build_het_zero_one_study` — every ``n`` is a size-axis
+    Runs the single class-mix scenario of
+    :func:`build_het_zero_one_study` — every ``n`` is a size-axis
     entry, all α offsets at one ``n`` are curves of the same sampled
     worlds (one uniform per candidate edge thresholded at
     ``c · α_ij``), so the ±α comparison uses common random numbers.
-    ``backend="legacy"`` re-estimates every point with independent
-    per-point sampling (:func:`~repro.simulation.runners.
-    estimate_het_connectivity`) as a cross-check.
     """
-    if backend not in ("study", "legacy"):
-        raise ParameterError(
-            f"unknown backend {backend!r}; use 'study' or 'legacy'"
-        )
     trials = trials if trials is not None else trials_from_env(60, full=400)
     study = build_het_zero_one_study(
         trials,
@@ -141,37 +129,19 @@ def run_het_zero_one(
         seed,
     )
     scenario = study.scenarios[0]
-    if backend == "study":
-        scenario_result = study.run(workers=workers)["het_zero_one"]
+    scenario_result = study.run(workers=workers)["het_zero_one"]
     lambdas = class_edge_probabilities(ring_sizes, pool_size, q, mu, channel_probs)
     mu_min = float(mu[min(range(len(lambdas)), key=lambdas.__getitem__)])
     ring_entry = scenario.ring_sizes_at(0)[0]
     points: List[CurvePoint] = []
     for si, n in enumerate(num_nodes_grid):
         for alpha, (_, scale) in zip(alpha_offsets, scenario.curves_at(si)):
-            if backend == "study":
-                estimate = scenario_result.bernoulli(
-                    "connectivity", (q, scale), ring_entry, size=n
-                )
-            else:
-                scaled: Tuple[Tuple[float, ...], ...] = tuple(
-                    tuple(scale * a for a in row) for row in channel_probs
-                )
-                estimate = estimate_het_connectivity(
-                    n,
-                    pool_size,
-                    tuple(int(k) for k in ring_sizes),
-                    tuple(float(m) for m in mu),
-                    scaled,
-                    q,
-                    trials,
-                    seed=seed + 100 * n + int(alpha * 10) + 50,
-                    workers=workers,
-                )
             points.append(
                 CurvePoint(
                     point={"n": n, "alpha": alpha, "scale": scale},
-                    estimate=estimate,
+                    estimate=scenario_result.bernoulli(
+                        "connectivity", (q, scale), ring_entry, size=n
+                    ),
                     prediction=het_limit_probability(alpha, mu_min, 1),
                 )
             )
@@ -189,7 +159,6 @@ def run_het_zero_one(
             "mu_min": mu_min,
             "q": q,
             "seed": seed,
-            "backend": backend,
         },
         points=points,
     )

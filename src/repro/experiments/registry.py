@@ -9,8 +9,11 @@ of frozen, JSON-round-trippable scenarios), its ``run`` callable
 executes that study through the shared-deployment compiler and
 interprets the :class:`~repro.study.StudyResult` into the experiment's
 :class:`~repro.simulation.results.ExperimentResult`, and ``render``
-formats the tables.  The bespoke per-point sampling loops the modules
-used to carry survive only as ``backend="legacy"`` cross-checks.
+formats the tables.  Every experiment has exactly one execution path;
+``zero_one`` alone offers a second *allocation* of the same study
+(``backend="adaptive"``).  The independent cross-check the study path
+is tested against is a brute-force oracle that lives with the tests,
+not here.
 
 Experiment kinds:
 

@@ -14,8 +14,7 @@ clearing the largest α at each ``n``), and per-size curves (the
 α-offset channel probabilities solved per ``n``).  Deployment
 ``(size, ring, trial)`` cells are seeded by ``SeedSequence(seed,
 spawn_key=(size_index, ring_index, trial))``, so estimates are
-bit-identical for any worker count; ``backend="legacy"`` keeps the
-independent per-point sampling as a cross-check.
+bit-identical for any worker count.
 
 ``backend="adaptive"`` rides :mod:`repro.study.adaptive`: the tails of
 the law (cells already resolved at/near 0 or 1) stop after a loose
@@ -31,11 +30,9 @@ from typing import List, Optional, Sequence
 
 from repro.core.scaling import channel_prob_for_alpha
 from repro.exceptions import ParameterError
-from repro.params import QCompositeParams
 from repro.probability.limits import limit_probability
 from repro.simulation.engine import trials_from_env
 from repro.simulation.results import CurvePoint, ExperimentResult
-from repro.simulation.runners import estimate_k_connectivity
 from repro.study import MetricSpec, Scenario, Study
 from repro.utils.tables import format_table
 
@@ -113,9 +110,7 @@ def run_zero_one(
     curves of the same sampled worlds (nested channel thinning), and
     the ±α comparison therefore uses common random numbers — the
     transition sharpening is visible at far fewer trials than with
-    independent sampling.  ``backend="legacy"`` re-estimates every
-    ``(n, α)`` point with independent per-point sampling as a
-    cross-check.
+    independent sampling.
 
     ``backend="adaptive"`` sharpens only the transition band: starting
     from *trials* as the first round, cells are extended in blocks
@@ -128,10 +123,8 @@ def run_zero_one(
     (``config["adaptive"]``, see
     :func:`repro.study.adaptive.trial_allocation`).
     """
-    if backend not in ("study", "legacy", "adaptive"):
-        raise ParameterError(
-            f"unknown backend {backend!r}; use 'study', 'legacy', or 'adaptive'"
-        )
+    if backend not in ("study", "adaptive"):
+        raise ParameterError(f"unknown backend {backend!r}; use 'study' or 'adaptive'")
     trials = trials if trials is not None else trials_from_env(80, full=500)
     study = build_zero_one_study(
         trials, num_nodes_grid, alpha_offsets, pool_size, q, seed
@@ -140,7 +133,7 @@ def run_zero_one(
     adaptive_summary: Optional[dict] = None
     if backend == "study":
         scenario_result = study.run(workers=workers)["zero_one"]
-    elif backend == "adaptive":
+    else:
         from repro.study.adaptive import AdaptivePolicy, run_adaptive_study
 
         band = tuple(float(b) for b in transition_band)
@@ -162,29 +155,12 @@ def run_zero_one(
     for si, n in enumerate(num_nodes_grid):
         ring = scenario.ring_sizes_at(si)[0]
         for alpha, (_, p) in zip(alpha_offsets, scenario.curves_at(si)):
-            if backend in ("study", "adaptive"):
-                estimate = scenario_result.bernoulli(
-                    "connectivity", (q, p), ring, size=n
-                )
-            else:
-                params = QCompositeParams(
-                    num_nodes=n,
-                    key_ring_size=ring,
-                    pool_size=pool_size,
-                    overlap=q,
-                    channel_prob=p,
-                )
-                estimate = estimate_k_connectivity(
-                    params,
-                    1,
-                    trials,
-                    seed=seed + 100 * n + int(alpha * 10),
-                    workers=workers,
-                )
             points.append(
                 CurvePoint(
                     point={"n": n, "alpha": alpha, "K": ring, "p": p},
-                    estimate=estimate,
+                    estimate=scenario_result.bernoulli(
+                        "connectivity", (q, p), ring, size=n
+                    ),
                     prediction=limit_probability(alpha, 1),
                 )
             )

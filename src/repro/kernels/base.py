@@ -13,7 +13,7 @@ Monte Carlo workload in this repository:
    decision cost of every ``k >= 2`` sweep).
 
 A backend supplies implementations of exactly these entry points and
-nothing else; everything above (sweep engine, study compiler,
+nothing else; everything above (study compiler,
 experiments, WSN layer) dispatches through
 :func:`repro.kernels.get_backend`.  Backends must be *decision- and
 value-identical*: swapping one never changes a result, only wall-clock

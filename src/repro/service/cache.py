@@ -306,8 +306,12 @@ def run_cached(
         base_provenance = dict(full.provenance)
 
     combined_faults = combine_fault_reports([*stored_faults, run_faults])
-    for sc in study.scenarios:
-        cache.store(results[sc.name], faults=combined_faults)
+    if disposition != "hit":
+        # A hit's stored coverage already spans the request, so store()
+        # could only re-read each entry and decline.  Miss and extension
+        # keep store()'s guard against a concurrent larger write.
+        for sc in study.scenarios:
+            cache.store(results[sc.name], faults=combined_faults)
 
     provenance = dict(base_provenance)
     provenance.pop("trial_window", None)  # the merged result is full-window

@@ -1,20 +1,15 @@
-"""Monte Carlo simulation: engine, trial protocols, runners, results.
+"""Monte Carlo execution substrate: engine, pools, scheduler, results.
 
-Performance notes
------------------
-The Monte Carlo stack has two execution paths:
-
-* the **legacy per-point path** (:mod:`repro.simulation.trials` +
-  :func:`run_trials`): one deployment per ``(q, p, K)`` point, kept as
-  an independent cross-check backend;
-* the **shared-deployment sweep engine** (:mod:`repro.simulation.sweep`):
-  one deployment per ``(K, trial)`` serving *all* ``(q, p)`` curves.
-  Rings are sampled once, key-overlap counts are computed once, and all
-  channel probabilities are realized from a single uniform draw per
-  candidate edge by nested thinning (``U < p``).  Marginally each curve
-  sees exactly the model of Section II; jointly the curves are coupled
-  monotonically (smaller ``p`` / larger ``q`` edge sets are subsets of
-  larger ``p`` / smaller ``q`` ones within a deployment).
+Every Monte Carlo estimate in this package comes from one execution
+path, the shared-deployment study compiler in :mod:`repro.study`: one
+sampled world per ``(size, K, trial)`` cell serves every ``(q, p)``
+curve and every metric of its group.  Rings are sampled once,
+key-overlap counts are computed once, and all channel probabilities
+are realized from a single uniform draw per candidate edge by nested
+thinning (``U < p``).  Marginally each curve sees exactly the model of
+Section II; jointly the curves are coupled monotonically (smaller
+``p`` / larger ``q`` edge sets are subsets of larger ``p`` / smaller
+``q`` ones within a deployment).
 
 The coupling is deliberate common-random-numbers design: differences
 and orderings *between* curves (e.g. threshold locations in Figure 1)
@@ -24,22 +19,21 @@ the same ``(K, trial)`` are positively correlated **across curves**, so
 they must not be treated as independent when aggregating over curves.
 Across trials and across ring sizes everything remains independent.
 
-Connectivity decisions on the sweep path run on the vectorized
-min-label kernel (:func:`repro.graphs.unionfind.is_connected_pair_keys`)
-directly over int64 pair keys — no per-edge Python loop and no Graph
-construction.  Work is sharded by whole ``K`` columns
-(:func:`repro.simulation.engine.run_batches`), splitting columns into
-contiguous trial blocks when columns are scarce
-(:func:`repro.simulation.sweep.split_trial_blocks`), so process/IPC
-overhead is amortized over ``trials * len(curves)`` point evaluations
-and a single-``K`` sweep still saturates the pool.  Pools are *warm*:
-:mod:`repro.simulation.pool` keeps executors alive across calls, so
-repeated experiment invocations stop paying worker startup
-(``REPRO_PERSISTENT_POOL=0`` disables reuse).
+This package holds what that path runs on:
 
-The declarative layer over this stack — frozen JSON-round-trippable
-scenarios compiled onto shared deployments with arbitrary metric sets —
-lives in :mod:`repro.study`.
+* :mod:`~repro.simulation.engine` — deterministic fan-out of work
+  units (:func:`run_batches`) and of per-trial protocols
+  (:func:`run_trials`, used by protocol scenarios such as
+  ``coupling``);
+* :mod:`~repro.simulation.pool` — *warm* worker pools kept alive
+  across calls, so repeated invocations stop paying worker startup
+  (``REPRO_PERSISTENT_POOL=0`` disables reuse);
+* :mod:`~repro.simulation.scheduler` and
+  :mod:`~repro.simulation.faults` — the per-unit supervisor (retries,
+  timeouts, speculation, quarantine) and its seeded chaos injector;
+* :mod:`~repro.simulation.estimators` and
+  :mod:`~repro.simulation.results` — Bernoulli estimates and the
+  experiment result type.
 """
 
 from repro.simulation.engine import (
@@ -77,30 +71,6 @@ from repro.simulation.results import (
     load_result,
     save_result,
 )
-from repro.simulation.runners import (
-    estimate_agreement,
-    estimate_connectivity,
-    estimate_k_connectivity,
-    estimate_min_degree,
-    sample_degree_counts,
-)
-from repro.simulation.sweep import (
-    SweepSpec,
-    run_sweep_trials,
-    split_trial_blocks,
-    sweep_connectivity_estimates,
-    sweep_curve_masks,
-    sweep_deployment_outcomes,
-)
-from repro.simulation.trials import (
-    connectivity_trial,
-    degree_count_trial,
-    isolated_count_trial,
-    k_connectivity_trial,
-    min_degree_trial,
-    min_degree_vs_kconn_trial,
-    sample_secure_edges,
-)
 
 __all__ = [
     "default_workers",
@@ -123,28 +93,10 @@ __all__ = [
     "combine_fault_reports",
     "resolve_scheduler_policy",
     "run_units",
-    "split_trial_blocks",
     "BernoulliEstimate",
     "wilson_interval",
     "CurvePoint",
     "ExperimentResult",
     "load_result",
     "save_result",
-    "estimate_agreement",
-    "estimate_connectivity",
-    "estimate_k_connectivity",
-    "estimate_min_degree",
-    "sample_degree_counts",
-    "SweepSpec",
-    "run_sweep_trials",
-    "sweep_connectivity_estimates",
-    "sweep_curve_masks",
-    "sweep_deployment_outcomes",
-    "connectivity_trial",
-    "degree_count_trial",
-    "isolated_count_trial",
-    "k_connectivity_trial",
-    "min_degree_trial",
-    "min_degree_vs_kconn_trial",
-    "sample_secure_edges",
 ]

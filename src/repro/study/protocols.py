@@ -1,4 +1,4 @@
-"""Named trial protocols for scenarios the sweep engine cannot express.
+"""Named trial protocols for scenarios shared deployments cannot express.
 
 Most experiments are post-filters over shared deployments and compile
 onto the sweep path.  A few sample *jointly structured* randomness —

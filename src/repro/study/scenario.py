@@ -9,7 +9,7 @@ file with no accompanying Python is a complete experiment definition.
 
 Two scenario kinds exist:
 
-* ``"sweep"`` (default) — runs on the shared-deployment sweep engine;
+* ``"sweep"`` (default) — runs on the shared-deployment compiler;
   every metric is derived from the same candidate-pair arrays.
 * ``"protocol"`` — a named bespoke trial protocol (see
   :mod:`repro.study.protocols`) for workloads whose sampling cannot be

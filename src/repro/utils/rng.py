@@ -91,8 +91,9 @@ def grid_seed_sequence(root: Optional[int], *key: int) -> np.random.SeedSequence
 
     Generalizes :func:`trial_seed_sequence` to higher-dimensional
     addressing: cell ``(i, j, ...)`` of a sweep rooted at *root* gets
-    ``SeedSequence(root, spawn_key=(i, j, ...))``.  The sweep engine
-    keys deployments by ``(ring_index, trial_index)``, so any cell can
+    ``SeedSequence(root, spawn_key=(i, j, ...))``.  The study compiler
+    keys deployments by ``(ring_index, trial_index)`` (size grids
+    prepend the size index), so any cell can
     be reproduced in isolation and results are independent of how cells
     are distributed over workers.
     """

@@ -4,16 +4,29 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.experiments.giant_component import (
     er_giant_fraction,
-    giant_component_trial,
     render_giant_component,
     run_giant_component,
 )
-from repro.params import QCompositeParams
+from repro.study import MetricSpec, Scenario, run_scenario
+
+
+def _giant_fraction(n, ring, pool, q, p, seed):
+    """One deployment's largest-component fraction on the study path."""
+    scenario = Scenario(
+        name="giant",
+        num_nodes=n,
+        pool_size=pool,
+        ring_sizes=(ring,),
+        curves=((q, p),),
+        metrics=(MetricSpec("giant_fraction"),),
+        trials=1,
+        seed=seed,
+    )
+    return float(run_scenario(scenario, workers=1).series()[0])
 
 
 class TestErGiantFraction:
@@ -41,19 +54,11 @@ class TestErGiantFraction:
 
 class TestTrial:
     def test_fraction_in_unit_interval(self):
-        params = QCompositeParams(
-            num_nodes=100, key_ring_size=20, pool_size=500, overlap=2,
-            channel_prob=0.2,
-        )
-        frac = giant_component_trial(params, np.random.default_rng(1))
+        frac = _giant_fraction(100, 20, 500, 2, 0.2, seed=1)
         assert 0.0 < frac <= 1.0
 
     def test_dense_graph_single_component(self):
-        params = QCompositeParams(
-            num_nodes=50, key_ring_size=40, pool_size=60, overlap=1,
-            channel_prob=1.0,
-        )
-        assert giant_component_trial(params, np.random.default_rng(2)) == 1.0
+        assert _giant_fraction(50, 40, 60, 1, 1.0, seed=2) == 1.0
 
 
 class TestRun:

@@ -6,8 +6,8 @@ historical deployment keys byte-identical; class-mix sweeps stay
 deterministic and bit-identical across every execution substrate
 (one-shot, adaptive extension, trial/size sharding, content-addressed
 cache); and the two registry experiments reproduce the heterogeneous
-zero-one / min-degree laws with the legacy per-point sampler agreeing
-within confidence intervals.
+zero-one / min-degree laws with the brute-force oracle
+(``tests/oracle.py``) agreeing within confidence intervals.
 """
 
 from __future__ import annotations
@@ -18,9 +18,14 @@ import json
 import numpy as np
 import pytest
 
+from oracle import ci_overlap, run_oracle
 from repro.exceptions import ParameterError
-from repro.experiments.het_mindegree import run_het_mindegree
-from repro.experiments.het_zero_one import render_het_zero_one, run_het_zero_one
+from repro.experiments.het_mindegree import build_het_mindegree_study, run_het_mindegree
+from repro.experiments.het_zero_one import (
+    build_het_zero_one_study,
+    render_het_zero_one,
+    run_het_zero_one,
+)
 from repro.experiments.registry import get_experiment
 from repro.service.cache import ResultCache, run_cached
 from repro.service.shards import run_sharded
@@ -280,33 +285,24 @@ class TestHetExperiments:
 
     @pytest.mark.slow
     def test_zero_one_legacy_backend_agrees(self):
-        kwargs = dict(
-            trials=150,
-            num_nodes_grid=(120,),
-            alpha_offsets=(-3.0, 3.0),
-            workers=WORKERS,
-        )
-        study = run_het_zero_one(backend="study", **kwargs)
-        legacy = run_het_zero_one(backend="legacy", **kwargs)
-        for s_pt, l_pt in zip(study.points, legacy.points):
-            assert s_pt.point == l_pt.point
-            s, l = s_pt.estimate, l_pt.estimate
-            assert s.ci_low <= l.ci_high and l.ci_low <= s.ci_high, s_pt.point
+        kwargs = dict(trials=150, num_nodes_grid=(120,), alpha_offsets=(-3.0, 3.0))
+        study = run_het_zero_one(workers=WORKERS, **kwargs)
+        (scenario,) = build_het_zero_one_study(**kwargs).scenarios
+        reference = run_oracle(scenario)
+        q = scenario.curves_at(0)[0][0]
+        for pt in study.points:
+            oracle_est = reference.bernoulli(None, (q, pt.point["scale"]), size=pt.point["n"])
+            assert ci_overlap(pt.estimate, oracle_est), pt.point
 
     @pytest.mark.slow
     def test_mindegree_legacy_backend_agrees(self):
-        kwargs = dict(
-            trials=150,
-            ks=(2,),
-            alphas=(0.5,),
-            num_nodes=120,
-            workers=WORKERS,
-        )
-        study = run_het_mindegree(backend="study", **kwargs)
-        legacy = run_het_mindegree(backend="legacy", **kwargs)
-        (s_pt,), (l_pt,) = study.points, legacy.points
-        s, l = s_pt.estimate, l_pt.estimate
-        assert s.ci_low <= l.ci_high and l.ci_low <= s.ci_high
+        kwargs = dict(trials=150, ks=(2,), alphas=(0.5,), num_nodes=120)
+        study = run_het_mindegree(workers=WORKERS, **kwargs)
+        (scenario,) = build_het_mindegree_study(**kwargs).scenarios
+        (s_pt,) = study.points
+        s = s_pt.estimate
+        curve = (scenario.curves[0][0], s_pt.point["scale"])
+        assert ci_overlap(s, run_oracle(scenario).bernoulli("min_degree[k=2]", curve))
         # Min-degree dominates k-connectivity pointwise under CRN.
         assert s_pt.point["kconn_estimate"] <= s.estimate
         assert 0.0 <= s_pt.point["agreement"] <= 1.0

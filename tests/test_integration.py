@@ -11,16 +11,10 @@ from __future__ import annotations
 
 import math
 
-
 from repro.core.mindegree import min_degree_probability_poisson
 from repro.core.scaling import channel_prob_for_alpha
 from repro.params import QCompositeParams
-from repro.simulation.runners import (
-    estimate_agreement,
-    estimate_connectivity,
-    estimate_min_degree,
-    sample_degree_counts,
-)
+from repro.study import MetricSpec, Scenario, ScenarioResult, run_scenario
 
 N = 400
 POOL = 10000
@@ -36,18 +30,36 @@ def params_at(alpha: float, k: int = 1) -> QCompositeParams:
     )
 
 
+def simulate(
+    params: QCompositeParams, trials: int, seed: int, *metrics: MetricSpec
+) -> ScenarioResult:
+    """Run one parameter point (connectivity by default) on the study path."""
+    return run_scenario(
+        Scenario(
+            name="integration",
+            num_nodes=params.num_nodes,
+            pool_size=params.pool_size,
+            ring_sizes=(params.key_ring_size,),
+            curves=((params.overlap, params.channel_prob),),
+            metrics=metrics or (MetricSpec("connectivity"),),
+            trials=trials,
+            seed=seed,
+        )
+    )
+
+
 class TestConnectivityLaw:
     def test_deep_subcritical_rarely_connected(self):
-        est = estimate_connectivity(params_at(-3.0), TRIALS, seed=101)
+        est = simulate(params_at(-3.0), TRIALS, 101).bernoulli()
         assert est.estimate < 0.15
 
     def test_deep_supercritical_usually_connected(self):
-        est = estimate_connectivity(params_at(4.0), TRIALS, seed=102)
+        est = simulate(params_at(4.0), TRIALS, 102).bernoulli()
         assert est.estimate > 0.85
 
     def test_critical_point_tracks_refined_prediction(self):
         params = params_at(0.0)
-        est = estimate_connectivity(params, TRIALS, seed=103)
+        est = simulate(params, TRIALS, 103).bernoulli()
         refined = min_degree_probability_poisson(params, 1)
         # Wilson CI at 150 trials has half-width ~0.08; allow bias room.
         assert abs(est.estimate - refined) < 0.15
@@ -56,7 +68,7 @@ class TestConnectivityLaw:
 
     def test_monotone_in_alpha(self):
         estimates = [
-            estimate_connectivity(params_at(a), 100, seed=104 + int(a)).estimate
+            simulate(params_at(a), 100, 104 + int(a)).bernoulli().estimate
             for a in (-2.0, 0.0, 2.0, 4.0)
         ]
         assert estimates[0] < estimates[-1]
@@ -67,13 +79,20 @@ class TestMinDegreeLaw:
     def test_min_degree_tracks_poisson_refinement(self):
         for alpha in (-1.0, 1.0):
             params = params_at(alpha)
-            est = estimate_min_degree(params, 1, TRIALS, seed=110 + int(alpha))
+            est = simulate(
+                params, TRIALS, 110 + int(alpha), MetricSpec("min_degree", k=1)
+            ).bernoulli()
             refined = min_degree_probability_poisson(params, 1)
             assert abs(est.estimate - refined) < 0.12, alpha
 
     def test_k2_ordering_and_agreement(self):
         params = params_at(1.0, k=2)
-        deg, conn, agreement = estimate_agreement(params, 2, 80, seed=112)
+        result = simulate(
+            params, 80, 112, MetricSpec("min_degree", k=2), MetricSpec("k_connectivity", k=2)
+        )
+        deg = result.bernoulli("min_degree[k=2]")
+        conn = result.bernoulli("k_connectivity[k=2]")
+        agreement = result.agreement("min_degree[k=2]", "k_connectivity[k=2]")
         assert conn.estimate <= deg.estimate
         # Lemma 8/Theorem 1 equivalence: disagreement is rare.
         assert agreement > 0.85
@@ -84,7 +103,7 @@ class TestDegreePoissonLaw:
         from repro.core.degree_distribution import lambda_nh_exact
 
         params = params_at(0.0)
-        counts = sample_degree_counts(params, 0, 200, seed=120)
+        counts = simulate(params, 200, 120, MetricSpec("degree_count", h=0)).series()
         lam = lambda_nh_exact(N, params.edge_probability(), 0)
         # Poisson(λ): mean λ, sd sqrt(λ); sample-mean sd = sqrt(λ/200).
         assert abs(counts.mean() - lam) < 5 * math.sqrt(lam / 200) + 0.05
@@ -93,7 +112,7 @@ class TestDegreePoissonLaw:
         from repro.core.degree_distribution import lambda_nh_exact
 
         params = params_at(0.0)
-        counts = sample_degree_counts(params, 1, 200, seed=121)
+        counts = simulate(params, 200, 121, MetricSpec("degree_count", h=1)).series()
         lam = lambda_nh_exact(N, params.edge_probability(), 1)
         assert abs(counts.mean() - lam) < 5 * math.sqrt(lam / 200) + 0.1
 
@@ -111,6 +130,6 @@ class TestEschenauerGligorSpecialCase:
         above = QCompositeParams(
             num_nodes=n, key_ring_size=kstar + 4, pool_size=pool, overlap=1
         )
-        p_below = estimate_connectivity(below, 100, seed=130).estimate
-        p_above = estimate_connectivity(above, 100, seed=131).estimate
+        p_below = simulate(below, 100, 130).bernoulli().estimate
+        p_above = simulate(above, 100, 131).bernoulli().estimate
         assert p_above - p_below > 0.3

@@ -12,8 +12,8 @@ Four pillars:
 3. backend consistency — every *available* registered backend produces
    identical sweep metrics on the shared Figure-1 fixture, warm pool on
    and off (the corpus the numba CI leg runs with numba installed);
-4. config threading — Scenario/SweepSpec fields, JSON round-trip, CLI
-   flag and ``repro kernels``, provenance stamping.
+4. config threading — the Scenario field, the environment variable,
+   JSON round-trip, CLI flag and ``repro kernels``, provenance stamping.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from repro.kernels import (
 from repro.kernels.probe import probe_backends
 from repro.kernels.reference import ReferenceBackend, scan_first_certificate
 from repro.keygraphs.uniform_graph import uniform_intersection_edges
-from repro.simulation.sweep import SweepSpec, run_sweep_trials
-from repro.study import MetricSpec, Scenario, Study
+from repro.study import MetricSpec, Scenario, Study, run_scenario
 
 AVAILABLE = [info["name"] for info in available_backends() if info["available"]]
 
@@ -281,20 +280,21 @@ class TestBackendConsistency:
 
     @pytest.mark.parametrize("backend", AVAILABLE)
     def test_sweep_engine_identical_across_backends(self, backend):
-        spec = SweepSpec(
+        scenario = Scenario(
+            name="sweep",
             num_nodes=80,
             pool_size=900,
             ring_sizes=(16, 20),
             curves=((2, 1.0), (2, 0.5)),
+            metrics=(MetricSpec("connectivity"),),
             trials=6,
             seed=31,
         )
-        baseline = run_sweep_trials(spec, workers=1)
+        baseline = run_scenario(scenario, workers=1).values
         import dataclasses
 
-        pinned = dataclasses.replace(spec, kernel_backend=backend)
-        result = run_sweep_trials(pinned, workers=1)
-        assert np.array_equal(result, baseline)
+        pinned = dataclasses.replace(scenario, kernel_backend=backend)
+        assert np.array_equal(run_scenario(pinned, workers=1).values, baseline)
 
     @pytest.mark.parametrize("backend", AVAILABLE)
     def test_probe_passes(self, backend):
@@ -346,16 +346,12 @@ class TestConfigThreading:
         assert len(plans) == 1
         assert plans[0].kernel_backend == "reference"
 
-    def test_sweep_spec_rejects_unknown_backend(self):
-        with pytest.raises(KernelError):
-            SweepSpec(
-                num_nodes=10,
-                pool_size=100,
-                ring_sizes=(5,),
-                curves=((2, 1.0),),
-                trials=2,
-                kernel_backend="bogus",
-            )
+    def test_sweep_spec_rejects_unknown_backend(self, monkeypatch):
+        # An unknown ambient backend fails in the submitting process,
+        # before any work unit reaches a worker.
+        monkeypatch.setenv(ENV_VAR, "bogus")
+        with pytest.raises(KernelError, match="bogus"):
+            _fixture_study(trials=2).run(workers=2)
 
     def test_env_override_threads_into_provenance(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "reference")

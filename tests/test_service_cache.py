@@ -235,6 +235,29 @@ class TestStorePolicy:
         entry = cache.lookup(wide.scenario)
         assert isinstance(entry, CacheEntry) and entry.trials == 10
 
+    def test_hit_reads_each_entry_once_and_writes_nothing(self, cache, monkeypatch):
+        other = dataclasses.replace(_scenario(), name="other", seed=12)
+        study = Study((_scenario(), other))
+        run_cached(study, cache, workers=WORKERS)
+        paths = [cache.path_for(sc.content_hash()) for sc in study.scenarios]
+        before = [path.read_bytes() for path in paths]
+        mtimes = [path.stat().st_mtime_ns for path in paths]
+
+        looked_up = []
+        original = ResultCache.lookup
+
+        def counting_lookup(self, scenario):
+            looked_up.append(scenario.name)
+            return original(self, scenario)
+
+        monkeypatch.setattr(ResultCache, "lookup", counting_lookup)
+        hit = run_cached(Study((_scenario(trials=4), dataclasses.replace(other, trials=4))),
+                         cache, workers=WORKERS)
+        assert hit.provenance["cache"]["disposition"] == "hit"
+        assert sorted(looked_up) == ["cached", "other"]
+        assert [path.read_bytes() for path in paths] == before
+        assert [path.stat().st_mtime_ns for path in paths] == mtimes
+
     def test_lookup_survives_corrupt_entries(self, cache):
         scenario = _scenario()
         key = scenario.content_hash()

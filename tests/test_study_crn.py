@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracle import ci_overlap, run_oracle
 from repro.experiments.degree_poisson import run_degree_poisson
 from repro.experiments.mindegree_equiv import run_mindegree_equiv
 from repro.experiments.theorem1_check import run_theorem1_check
@@ -107,27 +108,37 @@ class TestSharedDeployments:
 
 
 class TestBackendCrossCheck:
+    """The study path against the brute-force oracle (``tests/oracle.py``)."""
+
     def test_theorem1_study_vs_legacy_ci_overlap(self):
+        from repro.experiments.theorem1_check import build_theorem1_study
+
         kwargs = dict(
             trials=60, alphas=(2.0,), ks=(1,), num_nodes=120,
-            key_ring_size=40, pool_size=2000, workers=1,
+            key_ring_size=40, pool_size=2000,
         )
-        study = run_theorem1_check(backend="study", **kwargs)
-        legacy = run_theorem1_check(backend="legacy", **kwargs)
-        for ps, pl in zip(study.points, legacy.points):
-            assert ps.estimate.ci_low <= pl.estimate.ci_high
-            assert pl.estimate.ci_low <= ps.estimate.ci_high
+        study = run_theorem1_check(workers=1, **kwargs)
+        (scenario,) = build_theorem1_study(**kwargs).scenarios
+        reference = run_oracle(scenario)
+        for pt in study.points:
+            curve = (scenario.curves[0][0], pt.point["channel_prob"])
+            assert ci_overlap(pt.estimate, reference.bernoulli(None, curve))
 
     def test_degree_poisson_study_vs_legacy_means_close(self):
+        from repro.experiments.degree_poisson import build_degree_poisson_study
+
         kwargs = dict(
             trials=40, degrees=(0,), num_nodes=150, key_ring_size=40,
-            pool_size=2000, workers=1,
+            pool_size=2000,
         )
-        study = run_degree_poisson(backend="study", **kwargs)
-        legacy = run_degree_poisson(backend="legacy", **kwargs)
+        study = run_degree_poisson(workers=1, **kwargs)
+        (scenario,) = build_degree_poisson_study(**kwargs).scenarios
         lam = study.points[0].point["lambda_exact"]
-        for result in (study, legacy):
-            mean = result.points[0].point["empirical_mean"]
+        means = (
+            study.points[0].point["empirical_mean"],
+            float(run_oracle(scenario).series().mean()),
+        )
+        for mean in means:
             # Poisson-ish counts: means from 40 trials stay within a few
             # standard errors of the analytic mean.
             assert abs(mean - lam) < 4.0 * np.sqrt(lam / 40) + 1.0

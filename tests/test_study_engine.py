@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.simulation import pool
-from repro.simulation.sweep import SweepSpec, run_sweep_trials, split_trial_blocks
+from repro.study import MetricSpec, Scenario, run_scenario
+from repro.study.compiler import split_trial_blocks
 
 
 class TestSplitTrialBlocks:
@@ -109,17 +110,19 @@ class TestSplitTrialBlocks:
                     assert all(a < b for a, b in spans)
 
     def test_single_column_sweep_splits_and_stays_bit_exact(self):
-        spec = SweepSpec(
+        scenario = Scenario(
+            name="single_column",
             num_nodes=80,
             pool_size=1000,
             ring_sizes=(20,),
             curves=((2, 1.0), (2, 0.5)),
+            metrics=(MetricSpec("connectivity"),),
             trials=9,
             seed=13,
         )
-        serial = run_sweep_trials(spec, workers=1)
-        split = run_sweep_trials(spec, workers=4)
-        assert np.array_equal(serial, split)
+        serial = run_scenario(scenario, workers=1)
+        split = run_scenario(scenario, workers=4)
+        assert np.array_equal(serial.values, split.values)
 
 
 def _double(x: int) -> int:

@@ -9,8 +9,8 @@ Covers the tentpole guarantees of the ``num_nodes_grid`` redesign:
   ``SeedSequence(seed, spawn_key=(size_index, ring_index, trial))``,
   so estimates are bit-identical for any worker count *and* match a
   serial per-size reference evaluation using the same seeds;
-* ``zero_one`` is a single size-grid declaration whose study backend
-  cross-checks against ``backend="legacy"``;
+* ``zero_one`` is a single size-grid declaration that cross-checks
+  against the brute-force oracle (``tests/oracle.py``);
 * indicator detection comes from the metric spec, not the values, so
   a pinned value metric renders as mean ± std.
 """
@@ -320,18 +320,18 @@ class TestZeroOneSingleDeclaration:
         ]
 
     def test_study_vs_legacy_ci_overlap(self):
-        from repro.experiments.zero_one import run_zero_one
+        from oracle import ci_overlap, run_oracle
+        from repro.experiments.zero_one import build_zero_one_study, run_zero_one
 
         kwargs = dict(
-            trials=50, num_nodes_grid=(100,), alpha_offsets=(2.0,),
-            pool_size=2000, workers=1,
+            trials=50, num_nodes_grid=(100,), alpha_offsets=(2.0,), pool_size=2000,
         )
-        study = run_zero_one(backend="study", **kwargs)
-        legacy = run_zero_one(backend="legacy", **kwargs)
-        for ps, pl in zip(study.points, legacy.points):
-            assert ps.point == pl.point
-            assert ps.estimate.ci_low <= pl.estimate.ci_high
-            assert pl.estimate.ci_low <= ps.estimate.ci_high
+        study = run_zero_one(workers=1, **kwargs)
+        (scenario,) = build_zero_one_study(**kwargs).scenarios
+        reference = run_oracle(scenario)
+        for pt in study.points:
+            curve = (scenario.curves_at(0)[0][0], pt.point["p"])
+            assert ci_overlap(pt.estimate, reference.bernoulli(None, curve, size=pt.point["n"]))
 
     def test_unknown_backend(self):
         from repro.experiments.zero_one import run_zero_one

@@ -1,23 +1,28 @@
-"""Tests for the shared-deployment batched sweep engine.
+"""Tests for the shared-deployment sweep underneath the study compiler.
 
 Covers the three properties the engine's exactness rests on:
 
 1. the nested-thinning coupling invariant (smaller ``p`` / larger ``q``
    masks are subsets of larger ``p`` / smaller ``q`` masks within one
    deployment);
-2. statistical consistency between the sweep backend and the legacy
-   per-point path (same model marginally, only the joint law differs);
-3. determinism: both backends are bit-exact under a fixed seed, and the
-   sweep result is invariant to the worker count.
+2. statistical consistency between the study path and the independent
+   brute-force reference (``tests/oracle.py``, the "legacy" side of the
+   historic test names): same model marginally, only the joint law
+   differs;
+3. determinism: both are bit-exact under a fixed seed, and the study
+   result is invariant to the worker count and the kernel backend.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from oracle import ci_overlap, run_oracle
 from repro.exceptions import ParameterError
-from repro.experiments.figure1 import run_figure1
+from repro.experiments.figure1 import build_figure1_study, run_figure1
 from repro.experiments.zero_one import run_zero_one
 from repro.graphs.generators import erdos_renyi_edges
 from repro.graphs.traversal import connected_components
@@ -27,13 +32,8 @@ from repro.graphs.unionfind import (
     count_components_pair_keys,
     is_connected_pair_keys,
 )
-from repro.simulation.sweep import (
-    SweepSpec,
-    run_sweep_trials,
-    sweep_connectivity_estimates,
-    sweep_curve_masks,
-    sweep_deployment_outcomes,
-)
+from repro.study import MetricSpec, Scenario, run_scenario
+from repro.study.metrics import DeploymentEvaluator, sample_deployment
 
 SIX_CURVES = [(2, 1.0), (2, 0.5), (2, 0.2), (3, 1.0), (3, 0.5), (3, 0.2)]
 
@@ -74,11 +74,22 @@ class TestVectorizedKernel:
         assert count_components_pair_keys(4, np.empty(0, dtype=np.int64)) == 4
 
 
+def _curve_masks(num_nodes, pool_size, ring, curves, rng):
+    """One shared deployment's candidate keys and per-curve on/off masks."""
+    dep = sample_deployment(num_nodes, pool_size, ring, min(q for q, _ in curves), rng)
+    evaluator = DeploymentEvaluator(dep)
+    return dep.candidates, [evaluator.curve_mask("onoff", q, p) for q, p in curves]
+
+
+def _scenario(**fields) -> Scenario:
+    return Scenario(name="sweep", metrics=(MetricSpec("connectivity"),), **fields)
+
+
 class TestCouplingInvariant:
     def test_masks_nested_in_p_and_q(self):
         rng = np.random.default_rng(2017)
         for _ in range(5):
-            cand, masks = sweep_curve_masks(200, 2000, 40, SIX_CURVES, rng)
+            cand, masks = _curve_masks(200, 2000, 40, SIX_CURVES, rng)
             by_curve = dict(zip(SIX_CURVES, masks))
             # p-nesting at fixed q (nested thinning of one uniform draw).
             for q in (2, 3):
@@ -93,7 +104,7 @@ class TestCouplingInvariant:
     def test_channel_marginal_rate(self):
         # Thinning at p keeps ~p of the q-filtered candidates.
         rng = np.random.default_rng(5)
-        cand, masks = sweep_curve_masks(300, 1000, 30, [(2, 1.0), (2, 0.5)], rng)
+        cand, masks = _curve_masks(300, 1000, 30, [(2, 1.0), (2, 0.5)], rng)
         full = int(masks[0].sum())
         kept = int(masks[1].sum())
         assert full > 500  # sanity: the point is non-degenerate
@@ -103,17 +114,17 @@ class TestCouplingInvariant:
         # Connectivity is monotone in the edge set, so within one
         # deployment outcome(p small) implies outcome(p large).
         rng = np.random.default_rng(11)
+        curves = [(2, 1.0), (2, 0.5), (2, 0.2)]
         for _ in range(10):
-            out = sweep_deployment_outcomes(
-                120, 2000, 30, [(2, 1.0), (2, 0.5), (2, 0.2)], rng
-            )
+            cand, masks = _curve_masks(120, 2000, 30, curves, rng)
+            out = [is_connected_pair_keys(120, cand[mask]) for mask in masks]
             assert (not out[1]) or out[0]
             assert (not out[2]) or out[1]
 
 
 class TestSweepDeterminism:
     def test_bit_exact_repeat_and_worker_invariance(self):
-        spec = SweepSpec(
+        scenario = _scenario(
             num_nodes=100,
             pool_size=1500,
             ring_sizes=(25, 35),
@@ -121,42 +132,42 @@ class TestSweepDeterminism:
             trials=8,
             seed=99,
         )
-        a = run_sweep_trials(spec, workers=1)
-        b = run_sweep_trials(spec, workers=1)
-        c = run_sweep_trials(spec, workers=2)
+        a = run_scenario(scenario, workers=1).values
+        b = run_scenario(scenario, workers=1).values
+        c = run_scenario(scenario, workers=2).values
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
-        assert a.shape == (2, 2)
+        assert a.shape == (2, 8, 2, 1)
 
     def test_estimates_shape_and_counts(self):
-        spec = SweepSpec(
-            num_nodes=80,
-            pool_size=1000,
-            ring_sizes=(20,),
-            curves=((2, 1.0), (3, 1.0)),
-            trials=5,
-            seed=7,
+        result = run_scenario(
+            _scenario(
+                num_nodes=80,
+                pool_size=1000,
+                ring_sizes=(20,),
+                curves=((2, 1.0), (3, 1.0)),
+                trials=5,
+                seed=7,
+            ),
+            workers=1,
         )
-        estimates = sweep_connectivity_estimates(spec, workers=1)
-        assert set(estimates) == {(2, 1.0), (3, 1.0)}
-        for per_ring in estimates.values():
-            assert set(per_ring) == {20}
-            assert per_ring[20].trials == 5
+        for curve in ((2, 1.0), (3, 1.0)):
+            assert result.bernoulli("connectivity", curve, 20).trials == 5
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ParameterError):
-            SweepSpec(
+            _scenario(
                 num_nodes=10, pool_size=100, ring_sizes=(), curves=((2, 1.0),),
                 trials=3,
             )
         with pytest.raises(ParameterError):
-            SweepSpec(
+            _scenario(
                 num_nodes=10, pool_size=100, ring_sizes=(5,), curves=(),
                 trials=3,
             )
         with pytest.raises(ParameterError):
             # q exceeds the ring size.
-            SweepSpec(
+            _scenario(
                 num_nodes=10, pool_size=100, ring_sizes=(2,),
                 curves=((3, 1.0),), trials=3,
             )
@@ -164,21 +175,16 @@ class TestSweepDeterminism:
 
 class TestBackendConsistency:
     def test_legacy_backend_bit_exact(self):
-        kwargs = dict(
+        (scenario,) = build_figure1_study(
             trials=6, ring_sizes=[28, 34], curves=[(2, 0.5)],
-            num_nodes=120, pool_size=2000, workers=1, backend="legacy",
-        )
-        a = run_figure1(**kwargs)
-        b = run_figure1(**kwargs)
-        assert [p.estimate.successes for p in a.points] == [
-            p.estimate.successes for p in b.points
-        ]
-        assert a.config["backend"] == "legacy"
+            num_nodes=120, pool_size=2000,
+        ).scenarios
+        assert np.array_equal(run_oracle(scenario).values, run_oracle(scenario).values)
 
     def test_sweep_backend_bit_exact(self):
         kwargs = dict(
             trials=6, ring_sizes=[28, 34], curves=[(2, 0.5), (2, 1.0)],
-            num_nodes=120, pool_size=2000, workers=1, backend="sweep",
+            num_nodes=120, pool_size=2000, workers=1,
         )
         a = run_figure1(**kwargs)
         b = run_figure1(**kwargs)
@@ -189,30 +195,30 @@ class TestBackendConsistency:
     def test_point_layout_matches_legacy(self):
         common = dict(
             trials=4, ring_sizes=[26, 32], curves=[(2, 1.0), (2, 0.5)],
-            num_nodes=100, pool_size=1500, workers=1,
+            num_nodes=100, pool_size=1500,
         )
-        sweep = run_figure1(backend="sweep", **common)
-        legacy = run_figure1(backend="legacy", **common)
-        assert [p.point for p in sweep.points] == [p.point for p in legacy.points]
-        assert [p.prediction for p in sweep.points] == [
-            p.prediction for p in legacy.points
+        (scenario,) = build_figure1_study(**common).scenarios
+        result = run_figure1(workers=1, **common)
+        assert [p.point for p in result.points] == [
+            {"q": q, "p": p, "K": ring}
+            for q, p in scenario.curves
+            for ring in scenario.ring_sizes
         ]
 
     def test_sweep_statistically_consistent_with_legacy(self):
-        # Same model, matched trial counts: every sweep CI must overlap
-        # the legacy CI at the same point (deterministic under the
-        # fixed seeds; trial counts keep the CIs wide enough that a
-        # correct implementation passes with large margin).
+        # Same model, matched trial counts: every study CI must overlap
+        # the oracle CI at the same point (deterministic under the fixed
+        # seeds; trial counts keep the CIs wide enough that a correct
+        # implementation passes with large margin).
         common = dict(
             trials=120, ring_sizes=[26, 30], curves=[(2, 1.0), (2, 0.5)],
-            num_nodes=150, pool_size=2000, workers=1,
+            num_nodes=150, pool_size=2000,
         )
-        sweep = run_figure1(backend="sweep", **common)
-        legacy = run_figure1(backend="legacy", **common)
-        for ps, pl in zip(sweep.points, legacy.points):
-            assert ps.point == pl.point
-            assert ps.estimate.ci_low <= pl.estimate.ci_high
-            assert pl.estimate.ci_low <= ps.estimate.ci_high
+        (scenario,) = build_figure1_study(**common).scenarios
+        reference = run_oracle(scenario)
+        for pt in run_figure1(workers=1, **common).points:
+            curve = (pt.point["q"], pt.point["p"])
+            assert ci_overlap(pt.estimate, reference.bernoulli(None, curve, pt.point["K"]))
 
     def test_zero_one_runs_on_sweep_engine(self):
         result = run_zero_one(
@@ -229,13 +235,12 @@ class TestBackendConsistency:
 
 class TestKernelBackendConsistency:
     """Every available kernel backend is bit-identical on the Figure-1
-    fixture — the registry-wide extension of the PR 1 sweep/legacy
-    backend-consistency pattern, run with the warm pool on and off.
-    (The numba CI leg runs this file with numba installed, so the
-    parametrization covers the jitted backend there.)
+    fixture, run with the warm pool on and off.  (The numba CI leg runs
+    this file with numba installed, so the parametrization covers the
+    jitted backend there.)
     """
 
-    FIXTURE = dict(
+    FIXTURE = _scenario(
         num_nodes=120,
         pool_size=2000,
         ring_sizes=(28, 34),
@@ -249,12 +254,14 @@ class TestKernelBackendConsistency:
 
         return [b["name"] for b in available_backends() if b["available"]]
 
+    def _pinned(self, name: str) -> Scenario:
+        return dataclasses.replace(self.FIXTURE, kernel_backend=name)
+
     def test_all_backends_identical_sweep_counts(self):
-        baseline = run_sweep_trials(SweepSpec(**self.FIXTURE), workers=1)
+        baseline = run_scenario(self.FIXTURE, workers=1).values
         for name in self._available():
-            spec = SweepSpec(kernel_backend=name, **self.FIXTURE)
             assert np.array_equal(
-                run_sweep_trials(spec, workers=1), baseline
+                run_scenario(self._pinned(name), workers=1).values, baseline
             ), name
 
     @pytest.mark.parametrize("persistent_pool", ["0", "1"])
@@ -262,9 +269,8 @@ class TestKernelBackendConsistency:
         self, persistent_pool, monkeypatch
     ):
         monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent_pool)
-        baseline = run_sweep_trials(SweepSpec(**self.FIXTURE), workers=1)
+        baseline = run_scenario(self.FIXTURE, workers=1).values
         for name in self._available():
-            spec = SweepSpec(kernel_backend=name, **self.FIXTURE)
             assert np.array_equal(
-                run_sweep_trials(spec, workers=2), baseline
+                run_scenario(self._pinned(name), workers=2).values, baseline
             ), (name, persistent_pool)

@@ -1,134 +1,154 @@
-"""Tests for trial protocols and estimation runners."""
+"""Trial protocols and runners.
+
+The per-deployment trial lives in the brute-force oracle
+(``tests/oracle.py``): one sampled deployment, one graph per curve, one
+decision per metric.  The runner that turns trials into estimates is
+the study path's :func:`repro.study.run_scenario`.
+"""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.params import QCompositeParams
-from repro.simulation.runners import (
-    estimate_agreement,
-    estimate_connectivity,
-    estimate_k_connectivity,
-    estimate_min_degree,
-    sample_degree_counts,
-)
-from repro.simulation.trials import (
-    connectivity_trial,
-    degree_count_trial,
-    k_connectivity_trial,
-    min_degree_trial,
-    min_degree_vs_kconn_trial,
-    sample_secure_edges,
-)
+import oracle
+from repro.graphs.traversal import is_connected
+from repro.study import MetricSpec, Scenario, run_scenario
 
 
 @pytest.fixture
-def mid_params() -> QCompositeParams:
+def mid_scenario() -> Scenario:
     """Near-threshold point at small n: outcomes vary across trials."""
-    return QCompositeParams(
-        num_nodes=80, key_ring_size=14, pool_size=600, overlap=2, channel_prob=0.7
+    return Scenario(
+        name="mid",
+        num_nodes=80,
+        pool_size=600,
+        ring_sizes=(14,),
+        curves=((2, 0.7),),
+        metrics=(MetricSpec("connectivity"),),
+        trials=20,
+        seed=1,
     )
 
 
+def _graph(scenario: Scenario, p: float, seed: int):
+    (graph,) = oracle.sample_graphs(
+        scenario.num_nodes, scenario.pool_size, scenario.ring_sizes[0], None,
+        ((2, p),), np.random.default_rng(seed),
+    )
+    return graph
+
+
+def _metrics(scenario: Scenario, *metrics: MetricSpec, **changes) -> Scenario:
+    return dataclasses.replace(scenario, metrics=metrics, **changes)
+
+
 class TestSampleSecureEdges:
-    def test_deterministic_per_generator_state(self, mid_params):
-        a = sample_secure_edges(mid_params, np.random.default_rng(1))
-        b = sample_secure_edges(mid_params, np.random.default_rng(1))
-        assert np.array_equal(a, b)
+    def test_deterministic_per_generator_state(self, mid_scenario):
+        a = _graph(mid_scenario, 0.7, 1)
+        b = _graph(mid_scenario, 0.7, 1)
+        assert a.edge_set() == b.edge_set()
 
-    def test_channel_thins_edges(self, mid_params):
-        full = mid_params.with_updates(channel_prob=1.0)
-        thin = mid_params.with_updates(channel_prob=0.3)
-        e_full = sample_secure_edges(full, np.random.default_rng(2))
-        e_thin = sample_secure_edges(thin, np.random.default_rng(2))
-        assert e_thin.shape[0] < e_full.shape[0]
+    def test_channel_thins_edges(self, mid_scenario):
+        assert _graph(mid_scenario, 0.3, 2).num_edges < _graph(mid_scenario, 1.0, 2).num_edges
 
-    def test_p_one_equals_key_graph(self, mid_params):
-        from repro.keygraphs.rings import sample_uniform_rings
-        from repro.keygraphs.uniform_graph import edges_from_rings
-
-        params = mid_params.with_updates(channel_prob=1.0)
-        rng = np.random.default_rng(3)
-        ours = sample_secure_edges(params, rng)
-        rng2 = np.random.default_rng(3)
-        rings = sample_uniform_rings(80, 14, 600, rng2)
-        expect = edges_from_rings(rings, 2)
-        assert np.array_equal(ours, expect)
+    def test_p_one_equals_key_graph(self, mid_scenario):
+        _, rings = oracle.sample_rings(80, 600, 14, None, np.random.default_rng(3))
+        keys = [set(r.tolist()) for r in rings]
+        expect = {
+            (u, v)
+            for u in range(80)
+            for v in range(u + 1, 80)
+            if len(keys[u] & keys[v]) >= 2
+        }
+        assert _graph(mid_scenario, 1.0, 3).edge_set() == expect
 
 
 class TestTrialProtocols:
-    def test_connectivity_trial_bool(self, mid_params):
-        assert isinstance(connectivity_trial(mid_params, np.random.default_rng(1)), bool)
+    def test_connectivity_trial_bool(self, mid_scenario):
+        assert isinstance(oracle.is_k_connected(_graph(mid_scenario, 0.7, 1), 1), bool)
 
-    def test_k1_trial_matches_connectivity_trial(self, mid_params):
+    def test_k1_trial_matches_connectivity_trial(self, mid_scenario):
         for seed in range(5):
-            a = connectivity_trial(mid_params, np.random.default_rng(seed))
-            b = k_connectivity_trial(mid_params, 1, np.random.default_rng(seed))
-            assert a == b
+            graph = _graph(mid_scenario, 0.7, seed)
+            assert oracle.is_k_connected(graph, 1) == is_connected(graph)
 
-    def test_kconn_implies_mindegree(self, mid_params):
-        for seed in range(10):
-            deg_ok, conn_ok = min_degree_vs_kconn_trial(
-                mid_params, 2, np.random.default_rng(seed)
-            )
-            if conn_ok:
-                assert deg_ok
+    def test_kconn_implies_mindegree(self, mid_scenario):
+        values = oracle.run_oracle(
+            _metrics(mid_scenario, MetricSpec("min_degree", k=2),
+                     MetricSpec("k_connectivity", k=2), trials=10)
+        ).values
+        deg_ok, conn_ok = values[..., 0], values[..., 1]
+        assert (conn_ok <= deg_ok).all()
 
-    def test_min_degree_trial_matches_joint(self, mid_params):
-        for seed in range(5):
-            solo = min_degree_trial(mid_params, 2, np.random.default_rng(seed))
-            joint, _ = min_degree_vs_kconn_trial(
-                mid_params, 2, np.random.default_rng(seed)
-            )
-            assert solo == joint
-
-    def test_degree_count_consistent(self, mid_params):
-        # Sum of counts over all h equals n for any single sample.
-        rng_master = np.random.default_rng(4)
-        edges = sample_secure_edges(mid_params, rng_master)
-        from repro.graphs.properties import degrees_from_edges
-
-        degs = degrees_from_edges(80, edges)
-        total = sum(
-            int((degs == h).sum()) for h in range(int(degs.max()) + 1)
+    def test_min_degree_trial_matches_joint(self, mid_scenario):
+        solo = oracle.run_oracle(_metrics(mid_scenario, MetricSpec("min_degree", k=2)))
+        joint = oracle.run_oracle(
+            _metrics(mid_scenario, MetricSpec("min_degree", k=2),
+                     MetricSpec("k_connectivity", k=2))
         )
-        assert total == 80
+        assert np.array_equal(solo.series(), joint.series("min_degree[k=2]"))
 
-    def test_degree_count_trial_nonnegative(self, mid_params):
-        v = degree_count_trial(mid_params, 1, np.random.default_rng(5))
-        assert isinstance(v, int) and v >= 0
+    def test_degree_count_consistent(self, mid_scenario):
+        # Sum of counts over all h equals n for any single sample.
+        hs = range(80)
+        values = oracle.run_oracle(
+            _metrics(mid_scenario, *(MetricSpec("degree_count", h=h) for h in hs), trials=3)
+        ).values
+        assert (values.sum(axis=-1) == 80).all()
+
+    def test_degree_count_trial_nonnegative(self, mid_scenario):
+        series = oracle.run_oracle(
+            _metrics(mid_scenario, MetricSpec("degree_count", h=1), trials=5)
+        ).series()
+        assert (series >= 0).all() and np.array_equal(series, np.round(series))
 
 
 class TestRunners:
-    def test_connectivity_estimate_fields(self, mid_params):
-        est = estimate_connectivity(mid_params, 20, seed=1, workers=1)
+    def test_connectivity_estimate_fields(self, mid_scenario):
+        est = run_scenario(mid_scenario, workers=1).bernoulli()
         assert est.trials == 20
         assert est.successes == round(est.estimate * 20)
 
-    def test_k1_dispatches_to_connectivity(self, mid_params):
-        a = estimate_connectivity(mid_params, 15, seed=2, workers=1)
-        b = estimate_k_connectivity(mid_params, 1, 15, seed=2, workers=1)
-        assert a == b
-
-    def test_parallel_equals_serial(self, mid_params):
-        a = estimate_connectivity(mid_params, 12, seed=3, workers=1)
-        b = estimate_connectivity(mid_params, 12, seed=3, workers=4)
-        assert a == b
-
-    def test_min_degree_at_least_kconn(self, mid_params):
-        # P[min deg >= k] >= P[k-connected] on identical seeds.
-        deg, conn, agreement = estimate_agreement(
-            mid_params, 2, 30, seed=4, workers=1
+    def test_k1_dispatches_to_connectivity(self, mid_scenario):
+        result = run_scenario(
+            _metrics(mid_scenario, MetricSpec("connectivity"),
+                     MetricSpec("k_connectivity", k=1), trials=15),
+            workers=1,
         )
-        assert deg.estimate >= conn.estimate
-        assert 0.0 <= agreement <= 1.0
+        assert result.bernoulli("connectivity") == result.bernoulli("k_connectivity[k=1]")
 
-    def test_degree_counts_array(self, mid_params):
-        counts = sample_degree_counts(mid_params, 0, 25, seed=5, workers=1)
+    def test_parallel_equals_serial(self, mid_scenario):
+        scenario = dataclasses.replace(mid_scenario, trials=12, seed=3)
+        a = run_scenario(scenario, workers=1)
+        b = run_scenario(scenario, workers=4)
+        assert np.array_equal(a.values, b.values)
+
+    def test_min_degree_at_least_kconn(self, mid_scenario):
+        # P[min deg >= k] >= P[k-connected] on identical deployments.
+        result = run_scenario(
+            _metrics(mid_scenario, MetricSpec("min_degree", k=2),
+                     MetricSpec("k_connectivity", k=2), trials=30, seed=4),
+            workers=1,
+        )
+        deg = result.bernoulli("min_degree[k=2]")
+        conn = result.bernoulli("k_connectivity[k=2]")
+        assert deg.estimate >= conn.estimate
+        assert 0.0 <= result.agreement("min_degree[k=2]", "k_connectivity[k=2]") <= 1.0
+
+    def test_degree_counts_array(self, mid_scenario):
+        result = run_scenario(
+            _metrics(mid_scenario, MetricSpec("degree_count", h=0), trials=25, seed=5),
+            workers=1,
+        )
+        counts = result.series()
         assert counts.shape == (25,)
         assert (counts >= 0).all()
 
-    def test_min_degree_estimate(self, mid_params):
-        est = estimate_min_degree(mid_params, 1, 20, seed=6, workers=1)
-        assert 0.0 <= est.estimate <= 1.0
+    def test_min_degree_estimate(self, mid_scenario):
+        result = run_scenario(
+            _metrics(mid_scenario, MetricSpec("min_degree", k=1), seed=6), workers=1
+        )
+        assert 0.0 <= result.bernoulli().estimate <= 1.0
