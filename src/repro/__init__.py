@@ -9,10 +9,10 @@ A faithful, laptop-scale reproduction of:
 The package layers:
 
 * :mod:`repro.probability` — overlap distributions, limit laws, couplings;
-* :mod:`repro.kernels` — pluggable compute backends (pure numpy
-  reference, optional numba) behind the three hot-path kernels:
-  min-label union, overlap counting, and the exact k-connectivity
-  decision with its Nagamochi–Ibaraki sparse certificate;
+* :mod:`repro.kernels` — the pure-numpy compute kernels behind the
+  three hot paths: min-label union, overlap counting, and the exact
+  k-connectivity decision with its Nagamochi–Ibaraki sparse
+  certificate;
 * :mod:`repro.graphs` — from-scratch graph algorithms (union-find, Tarjan,
   Dinic/Even k-connectivity) and the Erdős–Rényi generator;
 * :mod:`repro.keygraphs` — key pools, rings, uniform/binomial
@@ -50,7 +50,6 @@ from repro.exceptions import (
     DesignError,
     ExperimentError,
     GraphError,
-    KernelError,
     ParameterError,
     ReproError,
     SimulationError,

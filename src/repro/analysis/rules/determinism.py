@@ -325,8 +325,7 @@ class FloatReductionOrder(Rule):
     the iterable yields; combined with float non-associativity, any
     order jitter changes bits.  Kernel code must reduce with
     ``np.sum``/``ndarray.sum`` (single fixed pairwise algorithm) or
-    ``math.fsum`` — the backends' value-identity contract depends on
-    it.
+    ``math.fsum`` — bit-identical results depend on it.
     """
 
     id = "R008"
@@ -352,7 +351,7 @@ class FloatReductionOrder(Rule):
                         self, node,
                         "builtin sum() reduces in iteration order; kernel "
                         "reductions must be np.sum/ndarray.sum or "
-                        "math.fsum to keep backends value-identical",
+                        "math.fsum to keep results bit-identical",
                     )
                 )
         return findings

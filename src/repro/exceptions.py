@@ -46,15 +46,6 @@ class ExperimentError(ReproError):
     """An experiment was configured or invoked incorrectly."""
 
 
-class KernelError(ReproError):
-    """A kernel backend is unknown, unavailable, or failed its probe.
-
-    Raised by :mod:`repro.kernels` when a requested backend name is not
-    registered or when an optional-dependency backend (e.g. numba) is
-    selected but its dependency is not importable.
-    """
-
-
 class SchedulerError(ReproError):
     """Fault-tolerant work-unit scheduling was misconfigured or failed.
 

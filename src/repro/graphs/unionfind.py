@@ -84,12 +84,11 @@ def _validate_edges(num_nodes: int, edges: np.ndarray) -> np.ndarray:
 def _min_label_components(
     num_nodes: int, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Min-label component kernel, dispatched to the active backend.
+    """Min-label component kernel, dispatched through :mod:`repro.kernels`.
 
     ``labels[i]`` is the smallest node id in *i*'s component.  The
     pure-numpy pointer-jumping implementation lives in
-    :func:`repro.kernels.reference.min_label_components`; accelerated
-    backends (numba) register alternatives in :mod:`repro.kernels`.
+    :func:`repro.kernels.reference.min_label_components`.
     """
     return get_backend().min_label_components(num_nodes, u, v)
 

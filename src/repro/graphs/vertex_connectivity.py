@@ -21,7 +21,7 @@ plus ``κ(u, w)`` for all non-adjacent ``u, w ∈ N(v)`` is sufficient.
 
 Since PR 5 the decision runs on a **Nagamochi–Ibaraki sparse
 certificate** by default: a scan-first forest decomposition (computed by
-the active kernel backend, :mod:`repro.kernels`) reduces the edge set to
+the kernel backend, :mod:`repro.kernels`) reduces the edge set to
 at most ``k·(n-1)`` edges while preserving the κ >= k decision exactly,
 so every truncated Dinic query runs on the certificate instead of the
 full graph.  ``certificate=False`` keeps the plain path (the
@@ -336,8 +336,8 @@ def is_k_connected_edges(
     edges as arrays, so this path never builds a full-size
     :class:`Graph`.  *certificate* applies the backend's
     Nagamochi–Ibaraki sparse certificate before any flow network is
-    built; *backend* pins a kernel backend (ambient resolution
-    otherwise).  Follows the standard convention that a k-connected
+    built; *backend* defaults to :func:`repro.kernels.get_backend`.
+    Follows the standard convention that a k-connected
     graph needs at least ``k + 1`` nodes; ``k <= 0`` is vacuously true.
     """
     if k <= 0:
@@ -377,8 +377,8 @@ def is_k_connected(graph: Graph, k: int, *, certificate: bool = True) -> bool:
     Follows the standard convention that a k-connected graph needs at
     least ``k + 1`` nodes; ``k <= 0`` is vacuously true.  *certificate*
     (default on) routes ``k >= 2`` decisions through the
-    Nagamochi–Ibaraki sparse-certificate pass of the active kernel
-    backend; both settings are decision-identical (pinned by the
+    Nagamochi–Ibaraki sparse-certificate pass of the kernel backend;
+    both settings are decision-identical (pinned by the
     certificate-equivalence test corpus), the certificate is just
     faster on dense inputs.
     """

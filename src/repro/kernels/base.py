@@ -15,34 +15,29 @@ Monte Carlo workload in this repository:
 A backend supplies implementations of exactly these entry points and
 nothing else; everything above (study compiler,
 experiments, WSN layer) dispatches through
-:func:`repro.kernels.get_backend`.  Backends must be *decision- and
-value-identical*: swapping one never changes a result, only wall-clock
-— the consistency-test corpus in ``tests/test_kernels.py`` pins this.
+:func:`repro.kernels.get_backend`, whose one implementation is
+:class:`~repro.kernels.reference.ReferenceBackend`.
 
 The contracts are deliberately array-first (no ``Graph`` objects cross
-the seam), so compiled backends (numba today, cupy in the planned GPU
-exploration) can run without touching Python object graphs.
+the seam): kernels work on int64 arrays, never on Python object graphs.
 """
 
 from __future__ import annotations
 
 import abc
 import inspect
-from typing import Dict, List, Tuple, Type, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-__all__ = ["KernelBackend", "kernel_contracts", "verify_backend_contract"]
+__all__ = ["KernelBackend", "kernel_contracts"]
 
 
 class KernelBackend(abc.ABC):
     """Abstract kernel backend; see the module docstring for contracts."""
 
-    #: Registry name (unique; used by config fields, CLI, and env var).
+    #: Backend name, stamped into result provenance.
     name: str = "abstract"
-
-    #: One-line provenance string (dependency versions etc.).
-    description: str = ""
 
     # -- kernel 1: min-label connectivity union ------------------------
 
@@ -109,7 +104,6 @@ class KernelBackend(abc.ABC):
         Tarjan biconnectivity for ``k = 2``, and the truncated-Dinic
         pivot scan for general ``k`` — each running on this backend's
         :meth:`sparse_certificate` when *certificate* is enabled.
-        Backends with a fully compiled decision path may override.
         """
         from repro.graphs.vertex_connectivity import is_k_connected_edges
 
@@ -139,40 +133,12 @@ def _signature_names(fn) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
 def kernel_contracts() -> Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]:
     """The live contract table: abstract kernel method → parameter names.
 
-    One source of truth for every consumer that needs to know "what
-    must a backend implement": the ``repro kernels`` probe validates
-    loaded backends against it, and the R004 lint rule
-    (:mod:`repro.analysis.rules.structure`) checks backend *source*
-    against it — so neither can drift from the ABC.
+    The R004 lint rule (:mod:`repro.analysis.rules.structure`) checks
+    backend *source* against this table, so it can never drift from
+    the ABC.
     """
     return {
         name: _signature_names(getattr(KernelBackend, name))
         for name in sorted(KernelBackend.__abstractmethods__)
     }
 
-
-def verify_backend_contract(
-    backend: Union[KernelBackend, Type[KernelBackend]],
-) -> List[str]:
-    """Check *backend* against the kernel contracts; return problems.
-
-    An empty list means the backend implements every contract with
-    parameter names matching the ABC exactly (keyword call sites across
-    the dispatch seam rely on the names, not just the arity).  Used by
-    the ``repro kernels`` probe so a misdeclared backend fails its
-    probe instead of failing deep inside a sweep.
-    """
-    cls = backend if isinstance(backend, type) else type(backend)
-    problems: List[str] = []
-    for name, (positional, kwonly) in kernel_contracts().items():
-        impl = getattr(cls, name, None)
-        if impl is None or getattr(impl, "__isabstractmethod__", False):
-            problems.append(f"missing kernel contract {name!r}")
-            continue
-        got_pos, got_kw = _signature_names(impl)
-        if got_pos != positional or got_kw != kwonly:
-            problems.append(
-                f"{name!r} signature {got_pos + got_kw} does not match "
-                f"the contract {positional + kwonly}"
-            )
-    return problems

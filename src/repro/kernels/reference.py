@@ -12,8 +12,7 @@ ran on before the backend layer existed, moved behind the
 * :func:`scan_first_certificate` is new in PR 5: the Nagamochi–Ibaraki
   sparse certificate via k rounds of scan-first (BFS) spanning forests.
 
-All other backends are validated against this one — it defines the
-numbers.
+It is the only backend, so it defines the numbers.
 """
 
 from __future__ import annotations
@@ -169,7 +168,6 @@ class ReferenceBackend(KernelBackend):
     """The default backend: pure numpy, no optional dependencies."""
 
     name = "reference"
-    description = "pure numpy (always available; defines the numbers)"
 
     def min_label_components(
         self, num_nodes: int, u: np.ndarray, v: np.ndarray

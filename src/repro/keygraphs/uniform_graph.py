@@ -72,8 +72,8 @@ def overlap_counts_from_rings(rings: Rings) -> Tuple[np.ndarray, np.ndarray]:
     both the q-composite edge rule (``counts >= q``) and the attack
     layer (which needs the actual shared-key multiplicities).
 
-    The counting itself is a kernel dispatched to the active backend
-    (:mod:`repro.kernels`); the group-size-batched ``np.unique``
+    The counting itself is a kernel dispatched through
+    :mod:`repro.kernels`; the group-size-batched ``np.unique``
     implementation lives in :func:`repro.kernels.reference.overlap_counts`.
     """
     node_ids, key_ids, n = _flatten_rings(rings)

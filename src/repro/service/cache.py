@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pathlib
+import tempfile
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -142,9 +144,19 @@ class ResultCache:
         }
         if faults is not None:
             payload["faults"] = faults
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(path)
+        # One temp file per writer: concurrent stores of the same entry
+        # (overlapping jobs of `repro serve`) must not share a rename source.
+        fd, tmp_name = tempfile.mkstemp(
+            dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
+        )
+        tmp = pathlib.Path(tmp_name)
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(json.dumps(payload))
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return True
 
 

@@ -52,6 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ParameterError, TransportError
+from repro.kernels import resolve_backend_name
 from repro.simulation.scheduler import (
     SchedulerPolicy,
     combine_fault_reports,
@@ -347,9 +348,9 @@ class SubprocessTransport(ShardTransport):
     as JSON on disk, the worker recompiles the study from scratch, and
     the result comes back the same way — everything a socket transport
     would do minus the socket.  Scheduler policy is not forwarded as an
-    argument; workers inherit the environment, so ``REPRO_CHAOS`` /
-    ``REPRO_PERSISTENT_POOL`` / ``REPRO_KERNEL_BACKEND`` apply inside
-    them exactly as they would locally.
+    argument; workers inherit the environment, so ``REPRO_CHAOS`` and
+    ``REPRO_PERSISTENT_POOL`` apply inside them exactly as they would
+    locally.
     """
 
     name = "subprocess"
@@ -504,13 +505,13 @@ def run_sharded(
         units=aggregate["units"],
         transport=transport.name,
     )
-    plans = study.compile()
+    has_sweeps = any(s.kind == "sweep" for s in study.scenarios)
     provenance: Dict[str, object] = {
         "engine": "study/v1",
         "transport": transport.name,
         "shard_axis": axis,
         "shards": len(shard_dicts),
-        "kernel_backends": sorted({p.kernel_backend for p in plans}),
+        "kernel_backends": [resolve_backend_name()] if has_sweeps else [],
         "scenario_hashes": _scenario_hashes(study),
         "units": aggregate["units"],
         "deployments": aggregate["deployments"],

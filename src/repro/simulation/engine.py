@@ -26,17 +26,28 @@ T = TypeVar("T")
 TrialFn = Callable[[np.random.Generator], T]
 
 
+def _positive_env_int(name: str) -> Optional[int]:
+    """The positive int in env var *name*, or ``None`` when unset/empty."""
+    env = os.environ.get(name)
+    if not env:
+        return None
+    try:
+        value = int(env)
+    except ValueError:
+        raise SimulationError(f"{name} must be an integer, got {env!r}") from None
+    if value < 1:
+        raise SimulationError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def default_workers() -> int:
     """Worker count: ``REPRO_WORKERS`` env var, else ``min(cpu, 8)``.
 
     Eight processes saturate the Figure 1 workload on typical hosts
     while keeping fork/IPC overhead negligible for smaller runs.
     """
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        value = int(env)
-        if value < 1:
-            raise SimulationError(f"REPRO_WORKERS must be >= 1, got {value}")
+    value = _positive_env_int("REPRO_WORKERS")
+    if value is not None:
         return value
     return max(1, min(os.cpu_count() or 1, 8))
 
@@ -47,11 +58,8 @@ def trials_from_env(default: int, *, full: Optional[int] = None) -> int:
     ``REPRO_TRIALS`` overrides everything; ``REPRO_FULL=1`` selects the
     paper-fidelity count *full* (e.g. 500 for Figure 1) when provided.
     """
-    env = os.environ.get("REPRO_TRIALS")
-    if env:
-        value = int(env)
-        if value < 1:
-            raise SimulationError(f"REPRO_TRIALS must be >= 1, got {value}")
+    value = _positive_env_int("REPRO_TRIALS")
+    if value is not None:
         return value
     if full is not None and os.environ.get("REPRO_FULL") == "1":
         return full

@@ -295,15 +295,6 @@ def _active_columns(
     return active
 
 
-def _sweep_families(study: Study) -> List[Tuple[Scenario, ...]]:
-    """Sweep scenarios grouped by deployment family, in study order."""
-    families: Dict[Tuple, List[Scenario]] = {}
-    for scenario in study.scenarios:
-        if scenario.kind == "sweep":
-            families.setdefault(scenario.deployment_key(), []).append(scenario)
-    return [tuple(members) for members in families.values()]
-
-
 def run_adaptive_study(
     study: Study,
     policy: Optional[AdaptivePolicy] = None,
@@ -359,9 +350,10 @@ def run_adaptive_study(
         first.provenance.get("faults")  # type: ignore[list-item]
     ]
 
-    for members in _sweep_families(study):
+    for family in study.compile():
+        members = family.scenarios
         group = Study(members)
-        plans = group.compile()  # round-invariant; compiled once per family
+        plans = [family]  # round-invariant: the family's one group plan
         total = members[0].trials
         block = policy.block_trials or members[0].trials
         prev_open: Optional[set] = None

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.kernels import get_backend, resolve_backend_name, use_backend
+from repro.kernels import resolve_backend_name
 from repro.simulation.engine import default_workers, run_batches, run_trials
 from repro.simulation.scheduler import (
     SchedulerPolicy,
@@ -124,11 +124,6 @@ class GroupPlan:
     # Heterogeneous class mix shared by every member scenario (part of
     # the deployment key, so it is uniform within a group), or None.
     class_mix: Optional[ClassMix] = None
-    # Resolved kernel-backend name for every kernel call of this plan's
-    # work units (deployment sampling and metric evaluation).  Resolved
-    # at compile time in the submitting process, so warm-pool workers
-    # honor overrides made after the pool was spawned.
-    kernel_backend: str = "reference"
 
     @property
     def num_sizes(self) -> int:
@@ -173,23 +168,7 @@ class GroupPlan:
 def _plan_group(scenarios: Sequence[Scenario]) -> GroupPlan:
     head = scenarios[0]
     num_sizes = head.num_sizes
-    declared = {
-        s.kernel_backend for s in scenarios if s.kernel_backend is not None
-    }
-    if len(declared) > 1:
-        names = sorted(s.name for s in scenarios)
-        raise ParameterError(
-            f"scenarios {names} share one deployment family but declare "
-            f"different kernel backends {sorted(declared)}; backends are "
-            "result-identical, so pick one (or drop the field)"
-        )
-    # Resolve AND load in the submitting process: an unavailable backend
-    # (e.g. numba without the dependency) must fail here, not deep in a
-    # pool worker.
-    backend_name = resolve_backend_name(declared.pop() if declared else None)
-    get_backend(backend_name)
     return GroupPlan(
-        kernel_backend=backend_name,
         sizes=head.sizes,
         pool_sizes=tuple(head.pool_size_at(si) for si in range(num_sizes)),
         ring_grid=tuple(head.ring_sizes_at(si) for si in range(num_sizes)),
@@ -238,44 +217,43 @@ def _group_block(
     ring = plan.ring_grid[size_index][ring_index]
     out = np.empty((stop - start, plan.num_columns), dtype=np.float64)
     curve_sel = None if active is None else active[(group_index, size_index, ring_index)]
-    with use_backend(plan.kernel_backend):
-        for row, trial in enumerate(range(start, stop)):
-            if plan.sized:
-                seed_seq = grid_seed_sequence(plan.seed, size_index, ring_index, trial)
+    for row, trial in enumerate(range(start, stop)):
+        if plan.sized:
+            seed_seq = grid_seed_sequence(plan.seed, size_index, ring_index, trial)
+        else:
+            seed_seq = grid_seed_sequence(plan.seed, ring_index, trial)
+        rng = np.random.default_rng(seed_seq)
+        dep = sample_deployment(
+            plan.sizes[size_index],
+            plan.pool_sizes[size_index],
+            ring,
+            plan.q_mins[size_index],
+            rng,
+            needs_onoff=plan.needs_onoff,
+            needs_disk=plan.needs_disk,
+            needs_capture=plan.needs_capture,
+            class_mix=plan.class_mix,
+        )
+        evaluator = DeploymentEvaluator(dep)
+        ledgers: Dict = {}  # shared deduction state across member scenarios
+        col = 0
+        for sc_index, scenario in enumerate(plan.scenarios):
+            curves = scenario.curves_at(size_index)
+            width = len(curves) * len(scenario.metrics)
+            if curve_sel is None:
+                values = evaluate_scenario(evaluator, scenario, ledgers, curves=curves)
             else:
-                seed_seq = grid_seed_sequence(plan.seed, ring_index, trial)
-            rng = np.random.default_rng(seed_seq)
-            dep = sample_deployment(
-                plan.sizes[size_index],
-                plan.pool_sizes[size_index],
-                ring,
-                plan.q_mins[size_index],
-                rng,
-                needs_onoff=plan.needs_onoff,
-                needs_disk=plan.needs_disk,
-                needs_capture=plan.needs_capture,
-                class_mix=plan.class_mix,
-            )
-            evaluator = DeploymentEvaluator(dep)
-            ledgers: Dict = {}  # shared deduction state across member scenarios
-            col = 0
-            for sc_index, scenario in enumerate(plan.scenarios):
-                curves = scenario.curves_at(size_index)
-                width = len(curves) * len(scenario.metrics)
-                if curve_sel is None:
-                    values = evaluate_scenario(evaluator, scenario, ledgers, curves=curves)
-                else:
-                    chosen = curve_sel[sc_index]
-                    values = np.full((len(curves), len(scenario.metrics)), np.nan)
-                    if chosen:
-                        values[list(chosen), :] = evaluate_scenario(
-                            evaluator,
-                            scenario,
-                            ledgers,
-                            curves=tuple(curves[ci] for ci in chosen),
-                        )
-                out[row, col : col + width] = values.reshape(-1)
-                col += width
+                chosen = curve_sel[sc_index]
+                values = np.full((len(curves), len(scenario.metrics)), np.nan)
+                if chosen:
+                    values[list(chosen), :] = evaluate_scenario(
+                        evaluator,
+                        scenario,
+                        ledgers,
+                        curves=tuple(curves[ci] for ci in chosen),
+                    )
+            out[row, col : col + width] = values.reshape(-1)
+            col += width
     return out
 
 
@@ -424,7 +402,7 @@ class Study:
         provenance: Dict[str, object] = {
             "engine": "study/v1",
             "workers": effective,
-            "kernel_backends": sorted({p.kernel_backend for p in plans}),
+            "kernel_backends": [resolve_backend_name()] if plans else [],
             "groups": [self._group_provenance(plan) for plan in plans],
             "units": len(blocks),
             "deployments": int(
@@ -550,7 +528,7 @@ class Study:
         provenance: Dict[str, object] = {
             "engine": "study/v1",
             "workers": effective,
-            "kernel_backends": sorted({p.kernel_backend for p in plans}),
+            "kernel_backends": [resolve_backend_name()] if plans else [],
             "trial_window": [trial_start, trial_stop],
             "units": len(blocks),
             "deployments": int(len(scheduled) * span),
@@ -571,7 +549,7 @@ class Study:
             "scenarios": [s.name for s in plan.scenarios],
             "trials": plan.trials,
             "seed": plan.seed,
-            "kernel_backend": plan.kernel_backend,
+            "kernel_backend": resolve_backend_name(),
         }
         if plan.class_mix is not None:
             out["classes"] = plan.class_mix.to_dict()

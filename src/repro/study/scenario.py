@@ -39,7 +39,7 @@ import json
 import math
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.exceptions import KernelError, ParameterError
+from repro.exceptions import ParameterError
 from repro.utils.validation import (
     check_key_parameters,
     check_nonnegative_int,
@@ -287,7 +287,6 @@ _SCENARIO_FIELDS = {
     "kind",
     "protocol",
     "protocol_params",
-    "kernel_backend",
     "classes",
 }
 
@@ -344,14 +343,6 @@ class Scenario:
     protocol, protocol_params:
         For ``kind="protocol"``: registered protocol name and its
         parameters (see :mod:`repro.study.protocols`).
-    kernel_backend:
-        Kernel backend name for this scenario's compute kernels
-        (:mod:`repro.kernels`; e.g. ``"reference"`` or ``"numba"``), or
-        ``None`` for ambient resolution (CLI ``--kernel-backend`` >
-        ``REPRO_KERNEL_BACKEND`` env > reference).  Backends are
-        decision-identical, so this field never changes results — it is
-        still part of the config round-trip so runs record what they
-        executed on.  Sweep scenarios only.
     classes:
         Optional :class:`ClassMix` declaring the heterogeneous
         (Eletreby–Yağan) scenario family: per-class probabilities
@@ -376,7 +367,6 @@ class Scenario:
     kind: str = "sweep"
     protocol: Optional[str] = None
     protocol_params: Tuple[Tuple[str, object], ...] = ()
-    kernel_backend: Optional[str] = None
     classes: Optional[ClassMix] = None
 
     def __post_init__(self) -> None:
@@ -404,18 +394,6 @@ class Scenario:
                 "heterogeneous classes apply to sweep scenarios; protocol "
                 f"scenario {self.name!r} runs its own trial loop"
             )
-        if self.kernel_backend is not None:
-            if self.kind == "protocol":
-                raise ParameterError(
-                    "kernel_backend applies to sweep scenarios; protocol "
-                    f"scenario {self.name!r} runs its own trial loop"
-                )
-            from repro.kernels import resolve_backend_name
-
-            try:
-                resolve_backend_name(self.kernel_backend)
-            except KernelError as exc:
-                raise ParameterError(str(exc)) from exc
         self._normalize_sizes()
         if isinstance(self.protocol_params, Mapping):
             object.__setattr__(
@@ -884,8 +862,6 @@ class Scenario:
             out["pool_size"] = list(self.pool_size)
         else:
             out["pool_size"] = self.pool_size
-        if self.kernel_backend is not None:
-            out["kernel_backend"] = self.kernel_backend
         if self.classes is not None:
             out["classes"] = self.classes.to_dict()
         if self.kind == "protocol":
@@ -961,11 +937,6 @@ class Scenario:
                 kind=str(data.get("kind", "sweep")),
                 protocol=data.get("protocol"),  # type: ignore[arg-type]
                 protocol_params=protocol_params,  # type: ignore[arg-type]
-                kernel_backend=(
-                    None
-                    if data.get("kernel_backend") is None
-                    else str(data["kernel_backend"])
-                ),
                 classes=classes,
             )
         except (TypeError, ValueError) as exc:

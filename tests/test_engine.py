@@ -73,6 +73,19 @@ class TestEnvKnobs:
         with pytest.raises(SimulationError):
             default_workers()
 
+    @pytest.mark.parametrize(
+        "var, read",
+        [
+            ("REPRO_WORKERS", default_workers),
+            ("REPRO_TRIALS", lambda: trials_from_env(60)),
+        ],
+        ids=["workers", "trials"],
+    )
+    def test_malformed_int_raises_typed_error(self, var, read, monkeypatch):
+        monkeypatch.setenv(var, "abc")
+        with pytest.raises(SimulationError, match=f"{var}.*'abc'"):
+            read()
+
     def test_trials_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRIALS", raising=False)
         monkeypatch.delenv("REPRO_FULL", raising=False)

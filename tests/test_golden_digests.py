@@ -1,7 +1,7 @@
 """Golden digests: the study path's values pinned in absolute terms.
 
 Every other bit-identity test is relative (sharded == one-shot,
-adaptive == one-shot, numba == reference).  A sampling-stream change
+adaptive == one-shot, pooled == serial).  A sampling-stream change
 that is consistent everywhere passes all of them; this corpus does not.
 Each entry is the sha256 of one :class:`ScenarioResult`'s value tensor
 (float64, C order, shape prefixed) at ``trials=2``, ``workers=1``, for

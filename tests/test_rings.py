@@ -7,7 +7,6 @@ import pytest
 from scipy.stats import binom
 
 from repro.exceptions import ParameterError
-from repro.kernels import available_backends, backend_available, use_backend
 from repro.keygraphs.rings import (
     rings_to_incidence,
     sample_binomial_rings,
@@ -17,8 +16,6 @@ from repro.keygraphs.rings import (
 )
 from repro.keygraphs.uniform_graph import overlap_counts_from_rings
 from repro.utils.rng import as_generator
-
-BACKEND_NAMES = [info["name"] for info in available_backends()]
 
 
 class TestUniformRings:
@@ -273,8 +270,8 @@ class TestBinomialFillPaths:
                 assert ring.min() >= 0 and ring.max() < P
 
 
-class TestOverlapBackendsOnRaggedRings:
-    """Mixed-size class rings count overlaps exactly on every backend."""
+class TestOverlapCountsOnRaggedRings:
+    """Mixed-size and empty rings count overlaps exactly."""
 
     @staticmethod
     def _brute_force(rings):
@@ -287,25 +284,17 @@ class TestOverlapBackendsOnRaggedRings:
                     expected[u * n + v] = shared
         return expected
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_class_rings_match_brute_force(self, backend):
-        if not backend_available(backend):
-            pytest.skip(f"backend {backend!r} unavailable")
+    def test_class_rings_match_brute_force(self):
         labels = sample_class_labels(60, (0.4, 0.4, 0.2), seed=15)
         rings = sample_class_rings(labels, (4, 12, 25), 80, seed=16)
-        with use_backend(backend):
-            pair_keys, counts = overlap_counts_from_rings(rings)
+        pair_keys, counts = overlap_counts_from_rings(rings)
         got = dict(zip(pair_keys.tolist(), counts.tolist()))
         assert got == self._brute_force(rings)
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_binomial_rings_with_empty_rows(self, backend):
-        if not backend_available(backend):
-            pytest.skip(f"backend {backend!r} unavailable")
+    def test_binomial_rings_with_empty_rows(self):
         rings = sample_binomial_rings(40, 0.02, 120, seed=17)
         assert any(r.size == 0 for r in rings)  # raggedness includes empties
-        with use_backend(backend):
-            pair_keys, counts = overlap_counts_from_rings(rings)
+        pair_keys, counts = overlap_counts_from_rings(rings)
         got = dict(zip(pair_keys.tolist(), counts.tolist()))
         assert got == self._brute_force(rings)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -257,6 +258,42 @@ class TestStorePolicy:
         assert sorted(looked_up) == ["cached", "other"]
         assert [path.read_bytes() for path in paths] == before
         assert [path.stat().st_mtime_ns for path in paths] == mtimes
+
+    def test_overlapping_stores_do_not_collide(self, cache, monkeypatch):
+        # A second store of the same entry lands between the first
+        # store's write and its rename, as two overlapping jobs of one
+        # `repro serve` do.  Each writer needs its own temp file.
+        wide = Study((_scenario(trials=6),)).run(workers=WORKERS)["cached"]
+        narrow = Study((_scenario(trials=4),)).run(workers=WORKERS)["cached"]
+        original = pathlib.Path.replace
+        nested = []
+
+        def replace_after_nested_store(self, target):
+            if not nested:
+                nested.append(None)  # the nested store renames too
+                nested[0] = cache.store(narrow)
+            return original(self, target)
+
+        monkeypatch.setattr(pathlib.Path, "replace", replace_after_nested_store)
+        assert cache.store(wide) is True
+        assert nested == [True]
+        entry = cache.lookup(wide.scenario)
+        assert isinstance(entry, CacheEntry) and entry.trials == 6
+        assert np.array_equal(entry.result.values, wide.values)
+        assert not list(cache.root.rglob("*.tmp"))
+
+    def test_failed_store_leaves_no_temp_file(self, cache, monkeypatch):
+        result = Study((_scenario(),)).run(workers=WORKERS)["cached"]
+
+        def refuse(self, target):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pathlib.Path, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            cache.store(result)
+        monkeypatch.undo()
+        assert cache.lookup(result.scenario) is None
+        assert not list(cache.root.rglob("*.tmp"))
 
     def test_lookup_survives_corrupt_entries(self, cache):
         scenario = _scenario()

@@ -10,12 +10,10 @@ Covers the three properties the engine's exactness rests on:
    historic test names): same model marginally, only the joint law
    differs;
 3. determinism: both are bit-exact under a fixed seed, and the study
-   result is invariant to the worker count and the kernel backend.
+   result is invariant to the worker count.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -231,46 +229,3 @@ class TestBackendConsistency:
         low, high = result.points
         assert low.point["alpha"] < high.point["alpha"]
         assert low.estimate.successes <= high.estimate.successes
-
-
-class TestKernelBackendConsistency:
-    """Every available kernel backend is bit-identical on the Figure-1
-    fixture, run with the warm pool on and off.  (The numba CI leg runs
-    this file with numba installed, so the parametrization covers the
-    jitted backend there.)
-    """
-
-    FIXTURE = _scenario(
-        num_nodes=120,
-        pool_size=2000,
-        ring_sizes=(28, 34),
-        curves=tuple(SIX_CURVES),
-        trials=5,
-        seed=2017,
-    )
-
-    def _available(self):
-        from repro.kernels import available_backends
-
-        return [b["name"] for b in available_backends() if b["available"]]
-
-    def _pinned(self, name: str) -> Scenario:
-        return dataclasses.replace(self.FIXTURE, kernel_backend=name)
-
-    def test_all_backends_identical_sweep_counts(self):
-        baseline = run_scenario(self.FIXTURE, workers=1).values
-        for name in self._available():
-            assert np.array_equal(
-                run_scenario(self._pinned(name), workers=1).values, baseline
-            ), name
-
-    @pytest.mark.parametrize("persistent_pool", ["0", "1"])
-    def test_backends_worker_invariant_pool_on_and_off(
-        self, persistent_pool, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent_pool)
-        baseline = run_scenario(self.FIXTURE, workers=1).values
-        for name in self._available():
-            assert np.array_equal(
-                run_scenario(self._pinned(name), workers=2).values, baseline
-            ), (name, persistent_pool)
