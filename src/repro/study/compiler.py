@@ -18,12 +18,14 @@ groups and ``(ring_index, trial)`` for plain ones, and per-trial values
 are *assigned* (never reduced across blocks), results are bit-identical
 for any worker count and any block layout.
 
-:meth:`Study.run_extension` emits the same work units from an
-arbitrary starting trial index — the incremental rounds of adaptive
-trial allocation (:mod:`repro.study.adaptive`) and the shard unit of
-multi-host execution.  Extension shards merge into accumulated results
-via :meth:`~repro.study.result.ScenarioResult.merge`, bit-for-bit
-equal to a one-shot run at the total trial count.
+One executor runs every study: :meth:`Study.run` is its full-window
+case, trials ``[0, trials)`` of each group, and
+:meth:`Study.run_extension` runs it over an arbitrary window — the
+incremental rounds of adaptive trial allocation
+(:mod:`repro.study.adaptive`) and the shard unit of multi-host
+execution.  Extension shards merge into accumulated results via
+:meth:`~repro.study.result.ScenarioResult.merge`, bit-for-bit equal to
+a one-shot run at the total trial count.
 
 Protocol scenarios run through the ordinary per-trial engine with the
 same determinism contract.
@@ -260,37 +262,121 @@ def _group_block(
 def _slice_scenario_results(
     plans: Tuple[GroupPlan, ...],
     tensors: Sequence[np.ndarray],
-    trial_offset: int,
-    trials: Optional[int] = None,
+    windows: Sequence[Tuple[int, int]],
 ) -> Dict[str, ScenarioResult]:
     """Slice each scenario's columns out of its group tensor.
 
-    *trials* overrides the scenario's declared trial count in the
-    embedded scenario (extension shards cover a window, not the full
-    axis); the tensors' trial extent must match it.
+    ``windows[g]`` is the trial window of group ``g``'s tensor.  Only
+    a window other than ``[0, trials)`` re-embeds the scenario with
+    the window's trial count.
     """
     by_name: Dict[str, ScenarioResult] = {}
-    for plan, tensor in zip(plans, tensors):
-        span = plan.trials if trials is None else trials
+    for plan, tensor, (start, stop) in zip(plans, tensors, windows):
         for scenario, offset in zip(plan.scenarios, plan.column_offsets()):
             width = scenario.num_curves * len(scenario.metrics)
             values = tensor[:, :, :, offset : offset + width].reshape(
                 plan.num_sizes,
                 plan.num_rings,
-                span,
+                stop - start,
                 scenario.num_curves,
                 len(scenario.metrics),
             )
             if not scenario.sized:
                 values = values[0]
-            embedded = scenario if trials is None else scenario.with_trials(span)
+            full = (start, stop) == (0, scenario.trials)
             by_name[scenario.name] = ScenarioResult(
-                scenario=embedded,
+                scenario=scenario if full else scenario.with_trials(stop - start),
                 values=np.ascontiguousarray(values),
                 metric_labels=scenario.metric_labels(),
-                trial_offset=trial_offset,
+                trial_offset=start,
             )
     return by_name
+
+
+def _execute(
+    plans: Tuple[GroupPlan, ...],
+    windows: Sequence[Tuple[int, int]],
+    active: Optional[ActiveMap],
+    workers: int,
+    scheduler: Optional[SchedulerPolicy],
+) -> Tuple[Dict[str, ScenarioResult], Dict[str, object]]:
+    """Run trials ``windows[g]`` of every scheduled column of group ``g``.
+
+    The one executor behind :meth:`Study.run` and
+    :meth:`Study.run_extension`; returns the per-scenario results and
+    the shared provenance.  Tensors start as ``NaN``, so skipped
+    columns and dead-lettered units leave unevaluated cells.
+    """
+    scheduled = [
+        (gi, si, ri)
+        for gi, plan in enumerate(plans)
+        for si in range(plan.num_sizes)
+        for ri in range(plan.num_rings)
+    ]
+    if active is not None:
+        for key in set(active) - set(scheduled):
+            raise ParameterError(f"active key {key} names no column of the study")
+        scheduled = [key for key in scheduled if any(active.get(key, ()))]
+        for gi, si, ri in scheduled:
+            sel, plan = active[(gi, si, ri)], plans[gi]
+            if len(sel) != len(plan.scenarios):
+                raise ParameterError(
+                    f"active[{(gi, si, ri)}] must list curve indices for all "
+                    f"{len(plan.scenarios)} member scenarios, got {len(sel)}"
+                )
+            for scenario, chosen in zip(plan.scenarios, sel):
+                bad = [c for c in chosen if c not in range(len(scenario.curves_at(si)))]
+                if bad:
+                    raise ParameterError(
+                        f"active[{(gi, si, ri)}] curve indices {bad} out of "
+                        f"range for scenario {scenario.name!r}"
+                    )
+
+    blocks: List[Tuple[int, int, int, int, int]] = [
+        (gi, si, ri, start, stop)
+        for gi, si, ri in scheduled
+        for _, start, stop in split_trial_blocks(
+            1, windows[gi][1], workers, max(len(scheduled), 1), start=windows[gi][0]
+        )
+    ]
+    block_fn = functools.partial(_group_block, plans, active)
+    policy = resolve_scheduler_policy(scheduler)
+    if policy is None:
+        block_values = run_batches(block_fn, blocks, workers)
+        report = None
+    else:
+        block_values, report = run_units(
+            block_fn, blocks, workers=workers, policy=policy
+        )
+
+    tensors = [
+        np.full((p.num_sizes, p.num_rings, stop - start, p.num_columns), np.nan)
+        for p, (start, stop) in zip(plans, windows)
+    ]
+    for (gi, si, ri, start, stop), values in zip(blocks, block_values):
+        if values is not None:  # a dead-lettered unit's cells stay NaN
+            base = windows[gi][0]
+            tensors[gi][si, ri, start - base : stop - base, :] = values
+
+    provenance: Dict[str, object] = {
+        "engine": "study/v1",
+        "workers": workers,
+        "kernel_backends": [resolve_backend_name()] if plans else [],
+        "units": len(blocks),
+        "deployments": sum(stop - start for *_, start, stop in blocks),
+    }
+    if policy is not None and report is not None:
+        provenance["scheduler"] = policy.to_dict()
+        # The window stamp qualifies per-round positional unit
+        # indices when reports from several rounds/shards are folded
+        # (see combine_fault_reports).
+        faults = report.to_dict()
+        faults["window"] = [
+            min((start for start, _ in windows), default=0),
+            max((stop for _, stop in windows), default=0),
+        ]
+        provenance["faults"] = faults
+    return _slice_scenario_results(plans, tensors, windows), provenance
 
 
 def _run_protocol(scenario: Scenario, workers: Optional[int]) -> ScenarioResult:
@@ -357,66 +443,13 @@ class Study:
         """
         effective = default_workers() if workers is None else max(1, int(workers))
         plans = tuple(self.compile())
-        policy = resolve_scheduler_policy(scheduler)
-
-        total_columns = sum(p.num_sizes * p.num_rings for p in plans)
-        blocks: List[Tuple[int, int, int, int, int]] = []
-        for gi, plan in enumerate(plans):
-            n_rings = plan.num_rings
-            for column, start, stop in split_trial_blocks(
-                plan.num_sizes * n_rings, plan.trials, effective, total_columns
-            ):
-                blocks.append(
-                    (gi, column // n_rings, column % n_rings, start, stop)
-                )
-
-        block_fn = functools.partial(_group_block, plans, None)
-        if policy is None:
-            block_values = run_batches(block_fn, blocks, effective)
-            report = None
-        else:
-            block_values, report = run_units(
-                block_fn, blocks, workers=effective, policy=policy
-            )
-
-        # Assemble the per-group value tensors (sizes, rings, trials,
-        # columns).  Supervised runs seed with NaN so dead units leave
-        # unevaluated cells the merge substrate understands.
-        tensors: List[np.ndarray] = [
-            np.empty((p.num_sizes, p.num_rings, p.trials, p.num_columns))
-            if policy is None
-            else np.full((p.num_sizes, p.num_rings, p.trials, p.num_columns), np.nan)
-            for p in plans
-        ]
-        for (gi, si, ri, start, stop), values in zip(blocks, block_values):
-            if values is None:
-                continue  # dead-lettered unit: cells stay NaN
-            tensors[gi][si, ri, start:stop, :] = values
-
-        by_name = _slice_scenario_results(plans, tensors, trial_offset=0)
-
+        by_name, provenance = _execute(
+            plans, [(0, p.trials) for p in plans], None, effective, scheduler
+        )
         for scenario in self.scenarios:
             if scenario.kind == "protocol":
                 by_name[scenario.name] = _run_protocol(scenario, effective)
-
-        provenance: Dict[str, object] = {
-            "engine": "study/v1",
-            "workers": effective,
-            "kernel_backends": [resolve_backend_name()] if plans else [],
-            "groups": [self._group_provenance(plan) for plan in plans],
-            "units": len(blocks),
-            "deployments": int(
-                sum(p.num_sizes * p.num_rings * p.trials for p in plans)
-            ),
-        }
-        if policy is not None and report is not None:
-            provenance["scheduler"] = policy.to_dict()
-            # The window stamp qualifies per-round positional unit
-            # indices when reports from several rounds/shards are folded
-            # (see combine_fault_reports).
-            faults = report.to_dict()
-            faults["window"] = [0, max((p.trials for p in plans), default=0)]
-            provenance["faults"] = faults
+        provenance["groups"] = [self._group_provenance(plan) for plan in plans]
         return StudyResult(
             results=tuple(by_name[s.name] for s in self.scenarios),
             provenance=provenance,
@@ -444,7 +477,9 @@ class Study:
         K-column)``: a missing key (or all-empty curve tuples) skips
         the column's deployments entirely, and listed-but-partial
         curve tuples evaluate only those curves (the rest of the
-        column's cells hold ``NaN``).  The returned shard's scenarios
+        column's cells hold ``NaN``).  A key naming no column of the
+        compiled plan raises :class:`ParameterError`.  The returned
+        shard's scenarios
         carry ``trials == trial_stop - trial_start`` and its results
         ``trial_offset == trial_start``.
         """
@@ -463,81 +498,9 @@ class Study:
             )
         effective = default_workers() if workers is None else max(1, int(workers))
         plans = tuple(self.compile())
-        span = trial_stop - trial_start
-
-        scheduled: List[Tuple[int, int, int]] = []
-        for gi, plan in enumerate(plans):
-            for si in range(plan.num_sizes):
-                for ri in range(plan.num_rings):
-                    key = (gi, si, ri)
-                    if active is None:
-                        scheduled.append(key)
-                        continue
-                    sel = active.get(key)
-                    if sel is None or not any(sel):
-                        continue
-                    if len(sel) != len(plan.scenarios):
-                        raise ParameterError(
-                            f"active[{key}] must list curve indices for all "
-                            f"{len(plan.scenarios)} member scenarios, got {len(sel)}"
-                        )
-                    for scenario, chosen in zip(plan.scenarios, sel):
-                        valid = range(len(scenario.curves_at(si)))
-                        bad = [ci for ci in chosen if ci not in valid]
-                        if bad:
-                            raise ParameterError(
-                                f"active[{key}] curve indices {bad} out of "
-                                f"range for scenario {scenario.name!r}"
-                            )
-                    scheduled.append(key)
-
-        spans = [
-            (start, stop)
-            for _, start, stop in split_trial_blocks(
-                1, trial_stop, effective, max(len(scheduled), 1), start=trial_start
-            )
-        ]
-        blocks: List[Tuple[int, int, int, int, int]] = [
-            (gi, si, ri, start, stop)
-            for gi, si, ri in scheduled
-            for start, stop in spans
-        ]
-
-        block_fn = functools.partial(_group_block, plans, active)
-        policy = resolve_scheduler_policy(scheduler)
-        if policy is None:
-            block_values = run_batches(block_fn, blocks, effective)
-            report = None
-        else:
-            block_values, report = run_units(
-                block_fn, blocks, workers=effective, policy=policy
-            )
-
-        tensors = [
-            np.full((p.num_sizes, p.num_rings, span, p.num_columns), np.nan)
-            for p in plans
-        ]
-        for (gi, si, ri, start, stop), values in zip(blocks, block_values):
-            if values is None:
-                continue  # dead-lettered unit: cells stay NaN
-            tensors[gi][si, ri, start - trial_start : stop - trial_start, :] = values
-
-        by_name = _slice_scenario_results(
-            plans, tensors, trial_offset=trial_start, trials=span
-        )
-        provenance: Dict[str, object] = {
-            "engine": "study/v1",
-            "workers": effective,
-            "kernel_backends": [resolve_backend_name()] if plans else [],
-            "trial_window": [trial_start, trial_stop],
-            "units": len(blocks),
-            "deployments": int(len(scheduled) * span),
-        }
-        if policy is not None and report is not None:
-            provenance["scheduler"] = policy.to_dict()
-            faults = report.to_dict()
-            faults["window"] = [trial_start, trial_stop]
-            provenance["faults"] = faults
+        windows = [(trial_start, trial_stop)] * len(plans)
+        by_name, provenance = _execute(plans, windows, active, effective, scheduler)
+        provenance["trial_window"] = [trial_start, trial_stop]
         return StudyResult(
             results=tuple(by_name[s.name] for s in self.scenarios),
             provenance=provenance,

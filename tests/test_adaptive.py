@@ -192,6 +192,12 @@ class TestRunExtension:
             study.run_extension(4, 8, active={(0, 0, 0): ((0,), (1,))}, workers=1)
         with pytest.raises(ParameterError, match="out of range"):
             study.run_extension(4, 8, active={(0, 0, 0): ((5,),)}, workers=1)
+        # Keys past the group, size or ring axis name no column.
+        for stray in ((3, 0, 0), (0, 1, 0), (0, 0, 2)):
+            with pytest.raises(ParameterError, match="names no column"):
+                study.run_extension(0, 2, active={stray: ((0,),)}, workers=1)
+        empty = study.run_extension(0, 2, active={}, workers=1)
+        assert empty.provenance["units"] == 0
 
     def test_unlisted_columns_are_skipped(self):
         study = Study((plain_scenario(),))
