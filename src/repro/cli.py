@@ -584,10 +584,8 @@ def _run_study_file(args: argparse.Namespace) -> int:
             "--max-trials/--block-trials configure adaptive runs; "
             "pass --target-ci to enable one"
         )
-    elif args.cache or args.transport:
-        result = _run_study_service_path(study, args, scheduler)
     else:
-        result = study.run(workers=args.workers, scheduler=scheduler)
+        result = _run_fixed_trials(study, args, scheduler)
     print(render_study_result(result))
     adaptive = result.provenance.get("adaptive")
     if isinstance(adaptive, dict):
@@ -634,10 +632,10 @@ def _run_study_file(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_study_service_path(study, args: argparse.Namespace, scheduler):
-    """``repro study`` with --cache/--transport: the service execution path."""
-    from repro.service.cache import ResultCache, run_cached
-    from repro.service.shards import get_transport, run_sharded
+def _run_fixed_trials(study, args: argparse.Namespace, scheduler):
+    """``repro study`` at its declared trials: cached, sharded or direct."""
+    from repro.service.cache import ResultCache, run_study
+    from repro.service.shards import get_transport
 
     transport = None
     if args.transport is not None:
@@ -651,19 +649,10 @@ def _run_study_service_path(study, args: argparse.Namespace, scheduler):
                 "scheduler flags do not forward to subprocess workers; "
                 "set REPRO_CHAOS in the environment instead"
             )
-    if args.cache:
-        return run_cached(
-            study,
-            ResultCache(args.cache),
-            workers=args.workers,
-            scheduler=scheduler,
-            transport=transport,
-            axis=args.shard_axis,
-            shards=args.shards,
-        )
-    return run_sharded(
+    return run_study(
         study,
-        transport,
+        cache=ResultCache(args.cache) if args.cache else None,
+        transport=transport,
         axis=args.shard_axis,
         shards=args.shards,
         workers=args.workers,

@@ -22,6 +22,10 @@ Dispositions of :func:`run_cached`, per study:
 * ``bypass`` — the study is uncacheable (protocol scenarios, mixed
   per-scenario trial counts); it runs plainly, nothing is stored.
 
+Entries carry :data:`~repro.utils.rng.STREAM_VERSION` and the numpy
+``major.minor`` series outside the content hash; a lookup under another
+stamp is a miss, so no prefix from another stream is ever extended.
+
 Only complete (NaN-free) results are stored: a partial result (dead
 units, adaptive raggedness) is not a valid prefix to extend, because a
 one-shot run at the larger count would have evaluated the skipped
@@ -37,6 +41,7 @@ history stays inspectable under ``provenance["cache"]["stored_faults"]``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import pathlib
@@ -52,10 +57,17 @@ from repro.service.shards import ShardTransport, run_sharded
 from repro.study.compiler import Study
 from repro.study.result import ScenarioResult, StudyResult
 from repro.study.scenario import Scenario
+from repro.utils import rng
 
-__all__ = ["CACHE_FORMAT", "CacheEntry", "ResultCache", "run_cached"]
+__all__ = ["CACHE_FORMAT", "CacheEntry", "ResultCache", "run_cached", "run_study"]
 
 CACHE_FORMAT = "repro-cache/v1"
+
+
+def _stream_stamp() -> Dict[str, object]:
+    """The sampling stream version and numpy series stored values came from."""
+    series = ".".join(np.__version__.split(".")[:2])
+    return {"stream_version": rng.STREAM_VERSION, "numpy": series}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,9 +101,9 @@ class ResultCache:
         """The stored entry for *scenario*'s family, or ``None``.
 
         Unreadable or mismatched entries (hand-edited, interrupted
-        writes from pre-atomic-write versions, hash collisions) are
-        treated as misses, never as errors — the cache must only ever
-        make runs cheaper.
+        writes from pre-atomic-write versions, hash collisions, another
+        sampling stream or numpy series) are treated as misses, never
+        as errors — the cache must only ever make runs cheaper.
         """
         key = scenario.content_hash()
         path = self.path_for(key)
@@ -103,6 +115,8 @@ class ResultCache:
             return None
         if data.get("scenario_hash") != key:
             return None
+        if any(data.get(name) != value for name, value in _stream_stamp().items()):
+            return None  # another sampling stream or numpy series
         try:
             result = ScenarioResult.from_dict(data["result"])  # type: ignore[arg-type]
         except Exception:
@@ -141,6 +155,7 @@ class ResultCache:
             "format": CACHE_FORMAT,
             "scenario_hash": key,
             "result": result.to_dict(),
+            **_stream_stamp(),
         }
         if faults is not None:
             payload["faults"] = faults
@@ -172,16 +187,35 @@ def _unit_count(provenance: Mapping[str, object]) -> int:
     return int(units) if isinstance(units, int) else 0
 
 
-def _plain_run(
+def run_study(
     study: Study,
-    transport: Optional[ShardTransport],
-    axis: str,
-    shards: Optional[int],
-    workers: Optional[int],
-    scheduler: Optional[SchedulerPolicy],
+    *,
+    cache: Optional[ResultCache] = None,
+    transport: Optional[ShardTransport] = None,
+    axis: str = "trial",
+    shards: Optional[int] = None,
+    workers: Optional[int] = None,
+    scheduler: Optional[SchedulerPolicy] = None,
     window: Optional[Tuple[int, int]] = None,
 ) -> StudyResult:
-    """Full or delta execution, routed through the transport if given."""
+    """Run *study* through *cache*, else over *transport*, else directly.
+
+    The one place the service layer picks an execution path.  *window*
+    runs only that trial window (:meth:`Study.run_extension`); the
+    cache resolves windows itself, so it takes none.
+    """
+    if cache is not None:
+        if window is not None:
+            raise ParameterError("a cached run resolves its own trial window")
+        return run_cached(
+            study,
+            cache,
+            workers=workers,
+            scheduler=scheduler,
+            transport=transport,
+            axis=axis,
+            shards=shards,
+        )
     if transport is not None:
         return run_sharded(
             study,
@@ -193,9 +227,7 @@ def _plain_run(
             window=window,
         )
     if window is not None:
-        return study.run_extension(
-            window[0], window[1], workers=workers, scheduler=scheduler
-        )
+        return study.run_extension(*window, workers=workers, scheduler=scheduler)
     return study.run(workers=workers, scheduler=scheduler)
 
 
@@ -223,6 +255,15 @@ def run_cached(
         raise ParameterError(
             f"cache must be a ResultCache, got {type(cache).__name__}"
         )
+    execute = functools.partial(
+        run_study,
+        study,
+        transport=transport,
+        axis=axis,
+        shards=shards,
+        workers=workers,
+        scheduler=scheduler,
+    )
     hashes = {sc.name: sc.content_hash() for sc in study.scenarios}
     requested_counts = {sc.trials for sc in study.scenarios}
     cacheable = (
@@ -232,7 +273,7 @@ def run_cached(
     if not cacheable:
         # Protocol scenarios have no extension path, and mixed trial
         # counts have no single family window to resolve overlap on.
-        result = _plain_run(study, transport, axis, shards, workers, scheduler)
+        result = execute()
         events.emit("cache_bypass", scenarios=sorted(hashes))
         provenance = dict(result.provenance)
         provenance["cache"] = {
@@ -290,9 +331,7 @@ def run_cached(
             requested_trials=requested,
             delta_window=list(delta_window),
         )
-        delta = _plain_run(
-            study, transport, axis, shards, workers, scheduler, window=delta_window
-        )
+        delta = execute(window=delta_window)
         results = {}
         for sc in study.scenarios:
             entry = entries[sc.name]
@@ -311,7 +350,7 @@ def run_cached(
             scenarios=sorted(hashes),
             requested_trials=requested,
         )
-        full = _plain_run(study, transport, axis, shards, workers, scheduler)
+        full = execute()
         results = {sc.name: full[sc.name] for sc in study.scenarios}
         run_faults = _fault_report(full.provenance)
         executed_units = _unit_count(full.provenance)

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.exceptions import ParameterError
 from repro.service import events
-from repro.service.cache import ResultCache, run_cached
+from repro.service.cache import ResultCache, run_study
 from repro.service.shards import ShardTransport
 from repro.simulation.scheduler import SchedulerPolicy
 from repro.study.compiler import Study
@@ -157,24 +157,13 @@ class StudyService:
             return run_adaptive_study(
                 study, policy, workers=self.workers, scheduler=self.scheduler
             )
-        if self.cache is not None:
-            return run_cached(
-                study,
-                self.cache,
-                workers=self.workers,
-                scheduler=self.scheduler,
-                transport=self.transport,
-            )
-        if self.transport is not None:
-            from repro.service.shards import run_sharded
-
-            return run_sharded(
-                study,
-                self.transport,
-                workers=self.workers,
-                scheduler=self.scheduler,
-            )
-        return study.run(workers=self.workers, scheduler=self.scheduler)
+        return run_study(
+            study,
+            cache=self.cache,
+            transport=self.transport,
+            workers=self.workers,
+            scheduler=self.scheduler,
+        )
 
     def _run_job(self, job_id: str, path: pathlib.Path) -> None:
         status: Dict[str, object] = {

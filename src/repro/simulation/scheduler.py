@@ -163,7 +163,8 @@ def resolve_scheduler_policy(
 ) -> Optional[SchedulerPolicy]:
     """An explicit policy wins; else ``REPRO_CHAOS`` implies a default one.
 
-    Returns ``None`` when scheduling should stay on the plain
+    The study executor resolves this once per run, one-shot or
+    extension window alike.  ``None`` keeps its work units on the plain
     ``run_batches`` path — the zero-overhead default.
     """
     if policy is not None:
@@ -795,7 +796,10 @@ def run_units(
     The drop-in fault-tolerant sibling of
     :func:`repro.simulation.engine.run_batches`: same call shape, same
     in-order results, but per-unit failure domains instead of
-    all-or-nothing.
+    all-or-nothing.  The study executor hands either function the same
+    unit list in the same order, for :meth:`Study.run` and
+    :meth:`Study.run_extension` alike, so chaos plans keyed on unit
+    index address the same blocks on both paths.
     """
     policy = policy if policy is not None else SchedulerPolicy()
     units = list(units)

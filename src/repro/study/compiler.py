@@ -314,8 +314,9 @@ def _execute(
         for ri in range(plan.num_rings)
     ]
     if active is not None:
-        for key in set(active) - set(scheduled):
-            raise ParameterError(f"active key {key} names no column of the study")
+        stray = sorted(set(active).difference(scheduled), key=repr)
+        if stray:
+            raise ParameterError(f"active keys {stray} name no column of the study")
         scheduled = [key for key in scheduled if any(active.get(key, ()))]
         for gi, si, ri in scheduled:
             sel, plan = active[(gi, si, ri)], plans[gi]

@@ -26,6 +26,7 @@ __all__ = [
     "spawn_seed_sequences",
     "grid_seed_sequence",
     "sample_distinct_integers",
+    "STREAM_VERSION",
 ]
 
 RandomState = Union[None, int, np.random.SeedSequence, np.random.Generator]
@@ -84,6 +85,16 @@ def trial_seed_sequence(
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
     entropy = 0 if root is None else root
     return np.random.SeedSequence(entropy, spawn_key=(trial_index,))
+
+
+#: Version of the study sampling stream.  Bump it in the same change
+#: as anything that alters the values a fixed scenario produces: the
+#: ``(size, ring, trial)`` seed addressing below, the draw order of
+#: deployment sampling, or a metric's arithmetic — the changes that
+#: fail the golden digest corpus.  Stored results carry it, and the
+#: result cache treats a different version as a miss, so an old-stream
+#: prefix is never merged with a new-stream extension.
+STREAM_VERSION = 1
 
 
 def grid_seed_sequence(root: Optional[int], *key: int) -> np.random.SeedSequence:

@@ -194,7 +194,7 @@ class TestRunExtension:
             study.run_extension(4, 8, active={(0, 0, 0): ((5,),)}, workers=1)
         # Keys past the group, size or ring axis name no column.
         for stray in ((3, 0, 0), (0, 1, 0), (0, 0, 2)):
-            with pytest.raises(ParameterError, match="names no column"):
+            with pytest.raises(ParameterError, match="name no column"):
                 study.run_extension(0, 2, active={stray: ((0,),)}, workers=1)
         empty = study.run_extension(0, 2, active={}, workers=1)
         assert empty.provenance["units"] == 0

@@ -18,12 +18,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
-from repro.service.cache import CACHE_FORMAT, CacheEntry, ResultCache, run_cached
+from repro.service.cache import CACHE_FORMAT, CacheEntry, ResultCache, run_cached, run_study
+from repro.service.shards import InProcessTransport
 from repro.service import events
 from repro.simulation.faults import ChaosSpec, FaultStrategy
 from repro.simulation.scheduler import SchedulerPolicy, combine_fault_reports
 from repro.study.compiler import Study
 from repro.study.scenario import MetricSpec, Scenario
+from repro.utils import rng
 
 WORKERS = 2
 
@@ -308,6 +310,71 @@ class TestStorePolicy:
             json.dumps({"format": CACHE_FORMAT, "scenario_hash": "0" * 64})
         )
         assert cache.lookup(scenario) is None
+
+
+class TestStreamStamp:
+    """Entries from another sampling stream or numpy series miss."""
+
+    @pytest.mark.parametrize(
+        "owner, attr, value",
+        [(rng, "STREAM_VERSION", rng.STREAM_VERSION + 1), (np, "__version__", "99.0.0")],
+        ids=["stream_version", "numpy"],
+    )
+    def test_stamp_change_turns_hit_into_miss(self, cache, monkeypatch, owner, attr, value):
+        study = Study((_scenario(),))
+        key = study.scenarios[0].content_hash()
+        cold = run_cached(study, cache, workers=1)
+        assert run_cached(study, cache, workers=1).provenance["cache"]["disposition"] == "hit"
+        monkeypatch.setattr(owner, attr, value)
+        assert cache.lookup(study.scenarios[0]) is None
+        again = run_cached(study, cache, workers=1)
+        assert again.provenance["cache"]["disposition"] == "miss"
+        assert again.provenance["cache"]["scenario_hashes"]["cached"] == key
+        assert np.array_equal(again["cached"].values, cold["cached"].values)
+        # The miss restamped the entry: the new stream now hits.
+        assert run_cached(study, cache, workers=1).provenance["cache"]["disposition"] == "hit"
+
+    def test_unstamped_entry_misses(self, cache):
+        scenario = _scenario()
+        run_cached(Study((scenario,)), cache, workers=1)
+        path = cache.path_for(scenario.content_hash())
+        payload = json.loads(path.read_text())
+        assert payload["stream_version"] == rng.STREAM_VERSION
+        assert payload["numpy"] == ".".join(np.__version__.split(".")[:2])
+        del payload["stream_version"]
+        path.write_text(json.dumps(payload))
+        assert cache.lookup(scenario) is None
+
+
+class TestRunStudy:
+    """One selector: cache, else transport, else a direct run."""
+
+    def test_routes_each_path_to_the_same_values(self, cache):
+        study = Study((_scenario(),))
+        direct = run_study(study, workers=1)
+        assert "cache" not in direct.provenance
+        assert "transport" not in direct.provenance
+        cached = run_study(
+            study, cache=cache, transport=InProcessTransport(workers=1), workers=1
+        )
+        assert cached.provenance["cache"]["disposition"] == "miss"
+        assert cached.provenance["transport"] == "inprocess"
+        sharded = run_study(study, transport=InProcessTransport(workers=1), workers=1)
+        assert sharded.provenance["transport"] == "inprocess"
+        assert "cache" not in sharded.provenance
+        for result in (cached, sharded):
+            assert np.array_equal(result["cached"].values, direct["cached"].values)
+
+    def test_window_runs_only_that_window(self, cache):
+        study = Study((_scenario(),))
+        full = study.run(workers=1)["cached"]
+        for transport in (None, InProcessTransport(workers=1)):
+            shard = run_study(study, transport=transport, workers=1, window=(2, 6))
+            assert shard.provenance["trial_window"] == [2, 6]
+            assert shard["cached"].trial_offset == 2
+            assert np.array_equal(shard["cached"].values, full.values[:, :, 2:6])
+        with pytest.raises(ParameterError, match="trial window"):
+            run_study(study, cache=cache, workers=1, window=(2, 6))
 
 
 class TestBypass:
