@@ -132,19 +132,37 @@ class TestRunUnits:
                 ),
             )
 
-    def test_inline_and_pool_paths_agree_under_chaos(self):
+    @pytest.mark.parametrize("kind", ["crash", "drop", "partial", "delay"])
+    def test_inline_and_pool_paths_agree_under_chaos(self, kind):
+        # One worker and two must tell the same story: chaos decisions
+        # key on (unit, attempt), never on worker count or pool, so the
+        # values, every counter and the event set all match.
         spec = ChaosSpec(
             seed=7,
-            strategies=(FaultStrategy(kind="crash", probability=0.6, max_attempt=2),),
+            strategies=(
+                FaultStrategy(kind=kind, probability=0.6, delay=0.01, max_attempt=2),
+            ),
         )
         policy = SchedulerPolicy(max_retries=4, backoff_base=0.01, chaos=spec)
-        pooled, pooled_report = run_units(_square, list(range(6)), workers=2, policy=policy)
-        inline, inline_report = run_units(_square, list(range(6)), workers=1, policy=policy)
+        runs = {
+            workers: run_units(_square, list(range(6)), workers=workers, policy=policy)
+            for workers in (1, 2)
+        }
+        (inline, inline_report), (pooled, pooled_report) = runs[1], runs[2]
         for a, b in zip(pooled, inline):
             assert np.array_equal(a, b)
-        # Chaos decisions key on (unit, attempt), not on worker count.
-        assert pooled_report.crashes == inline_report.crashes
-        assert pooled_report.retries == inline_report.retries
+
+        def counters(report):
+            data = report.to_dict()
+            del data["events"]
+            return data
+
+        def events(report):
+            return sorted((e["unit"], e["attempt"], e["kind"]) for e in report.events)
+
+        assert counters(inline_report) == counters(pooled_report)
+        assert events(inline_report) == events(pooled_report)
+        assert inline_report.faulted
 
     def test_unit_timeout_quarantines_hung_unit(self):
         units = [(0, 0.0), (1, 5.0), (2, 0.0)]
