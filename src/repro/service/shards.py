@@ -348,9 +348,8 @@ class SubprocessTransport(ShardTransport):
     as JSON on disk, the worker recompiles the study from scratch, and
     the result comes back the same way — everything a socket transport
     would do minus the socket.  Scheduler policy is not forwarded as an
-    argument; workers inherit the environment, so ``REPRO_CHAOS`` and
-    ``REPRO_PERSISTENT_POOL`` apply inside them exactly as they would
-    locally.
+    argument; workers inherit the environment, so ``REPRO_CHAOS``
+    applies inside them exactly as it would locally.
     """
 
     name = "subprocess"

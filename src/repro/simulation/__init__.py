@@ -25,9 +25,9 @@ This package holds what that path runs on:
   units (:func:`run_batches`) and of per-trial protocols
   (:func:`run_trials`, used by protocol scenarios such as
   ``coupling``);
-* :mod:`~repro.simulation.pool` — *warm* worker pools kept alive
-  across calls, so repeated invocations stop paying worker startup
-  (``REPRO_PERSISTENT_POOL=0`` disables reuse);
+* :mod:`~repro.simulation.pool` — the one *warm* worker pool, kept
+  alive across calls so repeated invocations stop paying worker
+  startup;
 * :mod:`~repro.simulation.scheduler` and
   :mod:`~repro.simulation.faults` — the per-unit supervisor (retries,
   timeouts, speculation, quarantine) and its seeded chaos injector;
@@ -46,7 +46,6 @@ from repro.simulation.pool import (
     discard_executor,
     executor_lease,
     get_executor,
-    persistent_pools_enabled,
     shutdown_pools,
     submit_batches,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "get_executor",
     "discard_executor",
     "executor_lease",
-    "persistent_pools_enabled",
     "shutdown_pools",
     "submit_batches",
     "ChaosSpec",

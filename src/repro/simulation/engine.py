@@ -52,6 +52,14 @@ def default_workers() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
+def _resolve_workers(workers: Optional[int]) -> int:
+    """*workers*, or :func:`default_workers` for ``None``; must be >= 1."""
+    workers = default_workers() if workers is None else int(workers)
+    if workers < 1:
+        raise SimulationError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def trials_from_env(default: int, *, full: Optional[int] = None) -> int:
     """Trial count for benchmarks: env-overridable quick defaults.
 
@@ -100,21 +108,12 @@ def run_trials(
     """
     if num_trials < 1:
         raise SimulationError(f"num_trials must be >= 1, got {num_trials}")
-    workers = default_workers() if workers is None else int(workers)
-    if workers < 1:
-        raise SimulationError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, num_trials)
-
-    if workers == 1:
-        return _run_indices(trial, seed, range(num_trials))
-
+    workers = _resolve_workers(workers)
     # Interleaved index blocks keep chunk runtimes balanced even when
     # difficulty drifts with the trial index.
-    chunks = [list(range(w, num_trials, workers)) for w in range(workers)]
+    chunks = [range(w, num_trials, workers) for w in range(min(workers, num_trials))]
     results: List = [None] * num_trials
-    outcomes = submit_batches(
-        functools.partial(_run_indices, trial, seed), chunks, workers
-    )
+    outcomes = run_batches(functools.partial(_run_indices, trial, seed), chunks, workers)
     for chunk, chunk_outcomes in zip(chunks, outcomes):
         for index, outcome in zip(chunk, chunk_outcomes):
             results[index] = outcome
@@ -138,10 +137,7 @@ def run_batches(
     batches = list(batches)
     if not batches:
         return []
-    workers = default_workers() if workers is None else int(workers)
-    if workers < 1:
-        raise SimulationError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, len(batches))
+    workers = min(_resolve_workers(workers), len(batches))
     if workers == 1:
         return [fn(batch) for batch in batches]
     return submit_batches(fn, batches, workers)

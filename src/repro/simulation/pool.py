@@ -1,4 +1,4 @@
-"""Persistent (warm) worker pools.
+"""The warm worker pool.
 
 ``run_batches``/``run_trials`` used to fork a fresh
 ``ProcessPoolExecutor`` per sweep, so every experiment invocation paid
@@ -20,24 +20,19 @@ accepting new work but finishes what leaseholders already submitted —
 instead of cancelling their futures out from under them.
 
 Determinism is unaffected: work units carry their own seeds, so *which*
-pool (or how warm it is) never changes results.
-
-Set ``REPRO_PERSISTENT_POOL=0`` to disable reuse and fall back to
-ephemeral per-call pools (useful when embedding in frameworks that
-manage process lifetimes themselves).
+pool (or how warm it is) never changes results.  There is one pool
+mode: every process-parallel call runs on the warm pool.
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
-import os
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
 __all__ = [
-    "persistent_pools_enabled",
     "get_executor",
     "discard_executor",
     "shutdown_pools",
@@ -53,12 +48,7 @@ _EXECUTOR_SIZE = 0
 _LEASES: Dict[int, int] = {}  # id(executor) -> outstanding lease count
 
 
-def persistent_pools_enabled() -> bool:
-    """Whether warm pool reuse is active (``REPRO_PERSISTENT_POOL`` != 0)."""
-    return os.environ.get("REPRO_PERSISTENT_POOL", "1") != "0"
-
-
-def acquire_lease(executor: ProcessPoolExecutor) -> None:
+def acquire_lease(executor: Executor) -> None:
     """Mark *executor* as having caller work in flight.
 
     While any lease is outstanding, :func:`get_executor` growth retires
@@ -67,7 +57,7 @@ def acquire_lease(executor: ProcessPoolExecutor) -> None:
     _LEASES[id(executor)] = _LEASES.get(id(executor), 0) + 1
 
 
-def release_lease(executor: ProcessPoolExecutor) -> None:
+def release_lease(executor: Executor) -> None:
     """Release one lease taken by :func:`acquire_lease`."""
     key = id(executor)
     count = _LEASES.get(key, 0)
@@ -77,13 +67,13 @@ def release_lease(executor: ProcessPoolExecutor) -> None:
         _LEASES[key] = count - 1
 
 
-def active_leases(executor: ProcessPoolExecutor) -> int:
+def active_leases(executor: Executor) -> int:
     """Outstanding lease count for *executor* (0 when unleased)."""
     return _LEASES.get(id(executor), 0)
 
 
 @contextlib.contextmanager
-def executor_lease(executor: ProcessPoolExecutor) -> Iterator[ProcessPoolExecutor]:
+def executor_lease(executor: Executor) -> Iterator[Executor]:
     """Hold a lease on *executor* for the duration of the block."""
     acquire_lease(executor)
     try:
@@ -113,17 +103,19 @@ def get_executor(workers: int) -> ProcessPoolExecutor:
     return _EXECUTOR
 
 
-def discard_executor() -> None:
-    """Drop the warm executor (e.g. after ``BrokenProcessPool``).
+def discard_executor(executor: Optional[Executor] = None) -> None:
+    """Shut down *executor*, by default the warm one (e.g. once broken).
 
-    The next :func:`get_executor` call builds a fresh one.
+    The warm pool is dropped only when *executor* still is it, so a
+    caller recovering a pool that growth already retired never cancels
+    its successor's work; the next :func:`get_executor` builds afresh.
     """
     global _EXECUTOR, _EXECUTOR_SIZE
-    if _EXECUTOR is not None:
-        _EXECUTOR.shutdown(wait=False, cancel_futures=True)
-        _LEASES.pop(id(_EXECUTOR), None)
-        _EXECUTOR = None
-        _EXECUTOR_SIZE = 0
+    if executor is None or executor is _EXECUTOR:
+        executor, _EXECUTOR, _EXECUTOR_SIZE = _EXECUTOR, None, 0
+    if executor is not None:
+        executor.shutdown(wait=False, cancel_futures=True)
+        _LEASES.pop(id(executor), None)
 
 
 def shutdown_pools() -> None:
@@ -178,24 +170,19 @@ def _windowed(
 def submit_batches(fn: Callable, batches: Sequence, workers: int) -> List:
     """Run ``fn(batch)`` for every batch on *workers* processes, in order.
 
-    Uses the warm pool when enabled, an ephemeral pool otherwise; both
-    paths share :func:`_windowed`, so window capping and
-    cancel-on-failure behave identically regardless of
-    ``REPRO_PERSISTENT_POOL``.  If the warm pool turns out to be broken
-    (a worker died since last use), it is discarded and the whole batch
-    list is retried once on a fresh pool — work units are idempotent by
-    the engine's determinism contract, so the retry is safe.
+    Runs on the warm pool through :func:`_windowed`.  If the pool turns
+    out to be broken (a worker died), it is discarded and the whole
+    batch list is retried once on a fresh pool — work units are
+    idempotent by the engine's determinism contract, so the retry is
+    safe.
     """
-    if not persistent_pools_enabled():
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _windowed(pool, fn, batches, workers)
     for attempt in (0, 1):
         pool = get_executor(workers)
         try:
             with executor_lease(pool):
                 return _windowed(pool, fn, batches, workers)
         except BrokenProcessPool:
-            discard_executor()
+            discard_executor(pool)
             if attempt:
                 raise
     raise AssertionError("unreachable")  # pragma: no cover

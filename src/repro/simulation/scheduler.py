@@ -1,4 +1,4 @@
-"""Fault-tolerant per-unit work scheduling on the warm pool.
+"""Fault-tolerant per-unit work scheduling.
 
 :func:`repro.simulation.pool.submit_batches` treats a batch list as
 all-or-nothing: one raising batch cancels the rest and the only
@@ -31,6 +31,9 @@ away every other unit's completed work.  This module supervises units
   demands completeness (``allow_partial=False`` →
   :class:`~repro.exceptions.DeadUnitError`).
 
+One supervision loop serves every worker count; ``workers == 1`` runs
+it in process instead of on the warm pool.
+
 Determinism is unchanged: work units carry their own absolute-trial
 seeds, so any retry or speculative duplicate computes bit-identical
 values, and a run that converges under injected faults
@@ -49,8 +52,8 @@ import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
+    Executor,
     Future,
-    ProcessPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -165,7 +168,8 @@ def resolve_scheduler_policy(
 
     The study executor resolves this once per run, one-shot or
     extension window alike.  ``None`` keeps its work units on the plain
-    ``run_batches`` path — the zero-overhead default.
+    ``run_batches`` path — the zero-overhead default; a policy sends
+    them through :func:`run_units` at any worker count.
     """
     if policy is not None:
         return policy
@@ -415,8 +419,26 @@ def _backoff_delay(policy: SchedulerPolicy, unit: int, failure_count: int) -> fl
 # -- the supervisor ----------------------------------------------------
 
 
+class _InlineExecutor(Executor):
+    """Runs each submission in this process at once; futures come back done."""
+
+    def submit(self, fn: Callable, /, *args: object, **kwargs: object) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
 class _Supervisor:
-    """Event loop driving one supervised run over a process pool."""
+    """Event loop driving one supervised run on the warm pool.
+
+    At ``workers == 1`` it runs on an :class:`_InlineExecutor` instead:
+    tasks carry ``inline=True``, so ``broken_pool`` chaos degrades to a
+    crash rather than kill the caller, and timeouts and speculation
+    stay inert because no attempt is ever left in flight.
+    """
 
     def __init__(
         self,
@@ -447,39 +469,32 @@ class _Supervisor:
         self.zombies: Dict[Future, Tuple[int, int, float]] = {}
         self.inflight_per_unit: Dict[int, int] = {}
 
-        self.warm = pool_mod.persistent_pools_enabled()
-        if self.warm:
-            self.executor = pool_mod.get_executor(workers)
-            pool_mod.acquire_lease(self.executor)
-        else:
-            self.executor = ProcessPoolExecutor(max_workers=workers)
+        self.inline = workers == 1
+        self.executor = self._open_executor()
 
     # -- lifecycle -----------------------------------------------------
 
+    def _open_executor(self) -> Executor:
+        if self.inline:
+            return _InlineExecutor()
+        executor = pool_mod.get_executor(self.workers)
+        pool_mod.acquire_lease(executor)
+        return executor
+
     def close(self) -> None:
-        if self.warm:
-            pool_mod.release_lease(self.executor)
-        else:
-            # Zombie attempts (timed out, still running) must not block
-            # the caller; the executor reaps them asynchronously.
-            self.executor.shutdown(wait=not self.zombies)
+        pool_mod.release_lease(self.executor)
 
     def _fresh_executor(self) -> None:
-        if self.warm:
-            pool_mod.release_lease(self.executor)
-            pool_mod.discard_executor()
-            self.executor = pool_mod.get_executor(self.workers)
-            pool_mod.acquire_lease(self.executor)
-        else:
-            self.executor.shutdown(wait=False, cancel_futures=True)
-            self.executor = ProcessPoolExecutor(max_workers=self.workers)
+        pool_mod.release_lease(self.executor)
+        pool_mod.discard_executor(self.executor)
+        self.executor = self._open_executor()
 
     # -- submission ----------------------------------------------------
 
     def _submit(self, unit: int) -> bool:
         attempt = self.launches[unit]
         self.launches[unit] += 1
-        task = (unit, attempt, self.units[unit], False)
+        task = (unit, attempt, self.units[unit], self.inline)
         try:
             future = self.executor.submit(_execute_unit, self.fn, self.chaos_dict, task)
         except BrokenProcessPool:
@@ -712,74 +727,6 @@ class _Supervisor:
             self._expire_timeouts(time.monotonic())
 
 
-def _run_inline(
-    fn: Callable,
-    units: List,
-    policy: SchedulerPolicy,
-    report: FaultReport,
-) -> List[Optional[object]]:
-    """Single-worker path: same retry/quarantine semantics, no pool.
-
-    Timeouts and speculation need concurrency and are inert here; the
-    chaos middleware still applies (``broken_pool`` degrades to a
-    crash so it cannot kill the calling process).
-    """
-    chaos_dict = policy.chaos.to_dict() if policy.chaos else None
-    results: List[Optional[object]] = [None] * len(units)
-    for index, unit in enumerate(units):
-        failures = 0
-        while True:
-            attempt = failures  # inline launches are strictly sequential
-            report.attempts += 1
-            outcome: Optional[str] = None
-            try:
-                envelope = _execute_unit(fn, chaos_dict, (index, attempt, unit, True))
-            except InjectedFailure as exc:
-                report.crashes += 1
-                outcome = f"{type(exc).__name__}: {exc}"
-                report.record(index, attempt, "crash", outcome)
-            except BaseException as exc:
-                report.errors += 1
-                outcome = f"{type(exc).__name__}: {exc}"
-                report.record(index, attempt, "error", outcome)
-            else:
-                if envelope.dropped:
-                    report.drops += 1
-                    outcome = "result dropped"
-                    report.record(index, attempt, "drop")
-                elif payload_checksum(envelope.payload) != envelope.checksum:
-                    report.corrupt += 1
-                    outcome = "corrupt result (checksum mismatch)"
-                    report.record(index, attempt, "corrupt")
-                else:
-                    if "delay" in envelope.injected:
-                        report.delays += 1
-                    results[index] = envelope.payload
-                    report.completed += 1
-                    _emit(
-                        "unit_completed",
-                        unit=index,
-                        attempt=attempt,
-                        completed=report.completed,
-                        units=len(units),
-                    )
-                    break
-            failures += 1
-            if failures > policy.max_retries:
-                report.record(index, attempt, "quarantine", outcome or "")
-                report.dead_units.append(
-                    {
-                        "unit_index": index,
-                        "failures": failures,
-                        "last_error": outcome,
-                    }
-                )
-                break
-            report.retries += 1
-            time.sleep(_backoff_delay(policy, index, failures))
-    return results
-
-
 def run_units(
     fn: Callable,
     units: Sequence,
@@ -800,6 +747,9 @@ def run_units(
     unit list in the same order, for :meth:`Study.run` and
     :meth:`Study.run_extension` alike, so chaos plans keyed on unit
     index address the same blocks on both paths.
+
+    Every worker count drives the same :class:`_Supervisor` loop, in
+    process at ``workers == 1``.
     """
     policy = policy if policy is not None else SchedulerPolicy()
     units = list(units)
@@ -811,24 +761,20 @@ def run_units(
         raise ParameterError(f"workers must be >= 1, got {workers}")
     workers = min(workers, len(units))
 
-    if workers == 1:
-        results = _run_inline(fn, units, policy, report)
-    else:
-        supervisor = _Supervisor(fn, units, workers, policy, report)
-        try:
-            supervisor.run()
-        finally:
-            supervisor.close()
-        results = supervisor.results
-        for index in range(len(units)):
-            if not supervisor.done[index]:
-                report.dead_units.append(
-                    {
-                        "unit_index": index,
-                        "failures": supervisor.failures[index],
-                        "last_error": supervisor.last_error[index],
-                    }
-                )
+    supervisor = _Supervisor(fn, units, workers, policy, report)
+    try:
+        supervisor.run()
+    finally:
+        supervisor.close()
+    for index in range(len(units)):
+        if not supervisor.done[index]:
+            report.dead_units.append(
+                {
+                    "unit_index": index,
+                    "failures": supervisor.failures[index],
+                    "last_error": supervisor.last_error[index],
+                }
+            )
 
     if report.dead_units and not policy.allow_partial:
         dead = [d["unit_index"] for d in report.dead_units]
@@ -836,4 +782,4 @@ def run_units(
             f"{len(dead)} work unit(s) exhausted their retry budget "
             f"(max_retries={policy.max_retries}): units {dead}"
         )
-    return results, report
+    return supervisor.results, report

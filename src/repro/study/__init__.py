@@ -29,7 +29,7 @@ group seeded with ``s`` always uses ``SeedSequence(s, spawn_key=
 (ring_index, trial))`` — size-grid groups prepend the size index,
 ``spawn_key=(size_index, ring_index, trial)`` — so results are
 bit-identical for any worker count and any trial-block layout.  Work
-runs on the persistent warm worker pool
+runs on the warm worker pool
 (:mod:`repro.simulation.pool`).
 
 New workloads need zero new Python: write a scenario (or list of

@@ -117,9 +117,7 @@ class TestDeterminismEquivalence:
         assert len(counts) > 1  # allocation is genuinely ragged
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("persistent", ["0", "1"])
-    def test_warm_pool_on_and_off(self, persistent, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent)
+    def test_warm_pool_matches_one_shot(self):
         scenario = plain_scenario(trials=5)
         policy = AdaptivePolicy(ci_target=1e-6, max_trials=15, block_trials=5)
         adaptive = run_adaptive_study(

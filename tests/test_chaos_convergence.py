@@ -3,10 +3,10 @@
 Under every injection strategy — crash, delay, drop, partial result,
 broken pool — with a bounded retry budget, a supervised study run must
 produce a ``ScenarioResult`` bit-identical to the fault-free one-shot
-run, with the warm pool on and off.  This is the determinism contract
-the fault-tolerant scheduler is built on: work units carry their own
-absolute-trial seeds, so a retried or speculatively re-executed unit
-recomputes exactly the same values.
+run, on one worker (the in-process executor) and on the warm pool.
+This is the determinism contract the fault-tolerant scheduler is built
+on: work units carry their own absolute-trial seeds, so a retried or
+speculatively re-executed unit recomputes exactly the same values.
 
 Every chaos strategy here caps injection at ``max_attempt=2`` while the
 scheduler budgets ``max_retries=4``: convergence within the budget is
@@ -59,11 +59,10 @@ def baseline():
 
 
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
-@pytest.mark.parametrize("persistent", ["0", "1"])
-def test_faulted_run_is_bit_identical(kind, persistent, baseline, monkeypatch):
-    monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_faulted_run_is_bit_identical(kind, workers, baseline):
     faulted = Study((_zero_one_scenario(),)).run(
-        workers=WORKERS, scheduler=_chaos_policy(kind)
+        workers=workers, scheduler=_chaos_policy(kind)
     )
     assert np.array_equal(
         baseline["zero_one"].values, faulted["zero_one"].values
@@ -96,14 +95,13 @@ def _het_scenario(trials=6):
     )
 
 
-@pytest.mark.parametrize("persistent", ["0", "1"])
-def test_class_mix_scenario_converges_under_chaos(persistent, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_class_mix_scenario_converges_under_chaos(workers):
     # The heterogeneous axis adds draws (labels, per-class rings) to
     # every work unit; retried units must still recompute identically.
-    monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent)
     clean = Study((_het_scenario(),)).run(workers=WORKERS)
     faulted = Study((_het_scenario(),)).run(
-        workers=WORKERS, scheduler=_chaos_policy("crash")
+        workers=workers, scheduler=_chaos_policy("crash")
     )
     assert np.array_equal(clean["het"].values, faulted["het"].values)
     report = faulted.provenance["faults"]
@@ -111,9 +109,8 @@ def test_class_mix_scenario_converges_under_chaos(persistent, monkeypatch):
     assert report["completed"] == report["units"]
 
 
-@pytest.mark.parametrize("persistent", ["0", "1"])
-def test_adaptive_study_converges_under_chaos(persistent, monkeypatch):
-    monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_adaptive_study_converges_under_chaos(workers):
     clean = run_adaptive_study(
         Study((_zero_one_scenario(),)),
         max_trials=24,
@@ -128,7 +125,7 @@ def test_adaptive_study_converges_under_chaos(persistent, monkeypatch):
         Study((_zero_one_scenario(),)),
         max_trials=24,
         ci_target=0.15,
-        workers=WORKERS,
+        workers=workers,
         scheduler=SchedulerPolicy(max_retries=4, backoff_base=0.01, chaos=spec),
     )
     # NaN-aware equality: adaptive results hold NaN beyond each cell's

@@ -10,7 +10,7 @@ Four pillars:
    plain Dinic decision on random ER and key-ring graphs across a k
    grid, including the k <= 2 shortcut paths and n < k + 1 edge cases;
 3. pool invariance — the shared Figure-1 fixture is bit-identical
-   serial and pooled, warm pool on and off;
+   serial and on the warm pool;
 4. config — a scenario carries no backend selection: the retired
    ``kernel_backend`` field is rejected as an unknown field.
 """
@@ -191,9 +191,7 @@ class TestBackendConsistency:
     def test_reference_is_available_here(self):
         assert get_backend().name == "reference"
 
-    @pytest.mark.parametrize("persistent_pool", ["0", "1"])
-    def test_warm_pool_on_and_off(self, persistent_pool, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent_pool)
+    def test_serial_and_warm_pool_agree(self):
         serial = _fixture_study().run(workers=1)
         pooled = _fixture_study().run(workers=2)
         np.testing.assert_array_equal(

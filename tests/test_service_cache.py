@@ -4,8 +4,8 @@ The contract: whatever the cache holds, ``run_cached`` returns values
 bit-identical to a cold one-shot run — a hit truncates absolute-indexed
 trial slots, an extension reruns only the identically-seeded missing
 window, and fault reports from stored and delta runs fold without
-double-counting.  Exercised with the warm pool on and off and with
-chaos injection active, mirroring the PR 6 convergence proofs.
+double-counting.  Exercised on the warm pool, with and without chaos
+injection, mirroring the supervisor's convergence proofs.
 """
 
 from __future__ import annotations
@@ -58,12 +58,10 @@ def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
 
 
-@pytest.mark.parametrize("persistent", ["0", "1"])
 class TestDispositionsBitIdentical:
-    """Cold → warm → extension, pool off and on, always exact."""
+    """Cold → warm → extension, always exact."""
 
-    def test_cold_warm_extension(self, cache, persistent, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent)
+    def test_cold_warm_extension(self, cache):
         study = Study((_scenario(),))
         baseline = study.run(workers=WORKERS)
 
@@ -96,8 +94,7 @@ class TestDispositionsBitIdentical:
         assert trunc.provenance["cache"]["disposition"] == "hit"
         assert np.array_equal(baseline["cached"].values, trunc["cached"].values)
 
-    def test_chaos_runs_hit_the_same_cache(self, cache, persistent, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent)
+    def test_chaos_runs_hit_the_same_cache(self, cache):
         study = Study((_scenario(),))
         baseline = study.run(workers=WORKERS)
 

@@ -2,13 +2,15 @@
 
 Pins the ``run_batches`` under-utilization fix (columns splitting into
 trial blocks when there are fewer K columns than workers), the
-persistent-pool plumbing, and the ``_windowed`` scheduling fixes: no
-head-of-line blocking (completion order decoupled from result order)
-and no leaked futures when a batch raises.
+warm-pool plumbing (reuse, growth, leases, broken-pool recovery), and
+the ``_windowed`` scheduling fixes: no head-of-line blocking
+(completion order decoupled from result order) and no leaked futures
+when a batch raises.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -142,6 +144,21 @@ def _exit_once(arg):
     return 7 * x
 
 
+def _exit_on_go(directory):
+    # Kills its worker once a "go" file appears, the first time it
+    # runs; reruns succeed.  "started" tells the test the unit is live.
+    import os
+
+    killed = os.path.join(directory, "killed")
+    if os.path.exists(killed):
+        return "recovered"
+    open(os.path.join(directory, "started"), "w").close()
+    while not os.path.exists(os.path.join(directory, "go")):
+        time.sleep(0.01)
+    open(killed, "w").close()
+    os._exit(13)
+
+
 def _sleep_then_return(item):
     index, delay = item
     time.sleep(delay)
@@ -156,8 +173,6 @@ def _raise_on_negative(x: int) -> int:
 
 class TestPersistentPool:
     def test_executor_is_reused(self):
-        if not pool.persistent_pools_enabled():  # pragma: no cover
-            return
         first = pool.get_executor(2)
         second = pool.get_executor(2)
         assert first is second
@@ -176,11 +191,6 @@ class TestPersistentPool:
         assert pool.submit_batches(_double, list(range(9)), workers=2) == [
             2 * x for x in range(9)
         ]
-
-    def test_disabled_pool_still_works(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
-        assert not pool.persistent_pools_enabled()
-        assert pool.submit_batches(_double, [5, 6], workers=2) == [10, 12]
 
     def test_shutdown_and_recreate(self):
         pool.get_executor(2)
@@ -218,8 +228,6 @@ class TestWindowScheduling:
         assert elapsed < 1.5
 
     def test_raising_batch_propagates_and_pool_stays_usable(self):
-        if not pool.persistent_pools_enabled():  # pragma: no cover
-            return
         batches = [1, 2, -1] + list(range(3, 12))
         with pytest.raises(ValueError, match="poison batch"):
             pool.submit_batches(_raise_on_negative, batches, workers=2)
@@ -228,27 +236,6 @@ class TestWindowScheduling:
         assert pool.submit_batches(_raise_on_negative, [5, 6, 7], workers=2) == [
             15, 18, 21,
         ]
-
-    def test_ephemeral_path_routes_through_windowed(self, monkeypatch):
-        # The ephemeral path used to submit everything at once with no
-        # window and no cancel-on-failure; both paths must share
-        # _windowed now.
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
-        seen = {}
-        real = pool._windowed
-
-        def spy(executor, fn, batches, workers):
-            seen["batches"], seen["workers"] = len(batches), workers
-            return real(executor, fn, batches, workers)
-
-        monkeypatch.setattr(pool, "_windowed", spy)
-        assert pool.submit_batches(_double, [1, 2, 3], workers=2) == [2, 4, 6]
-        assert seen == {"batches": 3, "workers": 2}
-
-    def test_ephemeral_path_propagates_failures(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
-        with pytest.raises(ValueError, match="poison batch"):
-            pool.submit_batches(_raise_on_negative, [1, -1] + list(range(2, 10)), workers=2)
 
 
 class TestExecutorLeases:
@@ -296,6 +283,35 @@ class TestExecutorLeases:
         assert any(f.cancelled() for f in futures)
         pool.shutdown_pools()
 
+    def test_recovering_retired_pool_spares_its_successor(self, tmp_path):
+        # Regression: recovery from a broken pool used to shut down
+        # whatever pool was *current*.  A caller whose 1-worker pool was
+        # retired by growth then cancelled the grown pool's queued work
+        # (leased by another caller) and dropped it.  Only the broken
+        # executor itself may go.
+        pool.shutdown_pools()
+        pool.get_executor(1)
+        outcome = {}
+
+        def caller_a():
+            outcome["a"] = pool.submit_batches(_exit_on_go, [str(tmp_path)], workers=1)
+
+        thread = threading.Thread(target=caller_a)
+        thread.start()
+        deadline = time.monotonic() + 30
+        while not (tmp_path / "started").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        grown = pool.get_executor(2)
+        with pool.executor_lease(grown):
+            futures = [grown.submit(_sleep_then_return, (i, 0.2)) for i in range(6)]
+            (tmp_path / "go").touch()
+            thread.join(timeout=30)
+            assert outcome["a"] == ["recovered"]
+            assert [f.result(timeout=30) for f in futures] == list(range(6))
+            assert not any(f.cancelled() for f in futures)
+        assert pool.get_executor(2) is grown
+        pool.shutdown_pools()
+
 
 class TestBrokenPoolRetry:
     def test_whole_batch_retry_after_worker_death(self, tmp_path):
@@ -303,8 +319,6 @@ class TestBrokenPoolRetry:
         # harness's broken_pool strategy) breaks the executor;
         # submit_batches must discard it and retry the whole batch list
         # once on a fresh pool.
-        if not pool.persistent_pools_enabled():  # pragma: no cover
-            pytest.skip("whole-batch retry is the warm-pool path")
         pool.shutdown_pools()
         flag = str(tmp_path / "killed_once")
         batches = [(flag, x) for x in range(5)]
