@@ -120,6 +120,27 @@ class TestCouplingInvariant:
             assert (not out[2]) or out[1]
 
 
+class TestDiskMarginal:
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.7])
+    def test_disk_mask_keeps_share_p(self, p):
+        # On the unit torus a pair lies within r = sqrt(p / pi) with
+        # probability exactly p, independently across pairs, so the
+        # share of kept candidates is binomial around p.  A radius off
+        # by 10% moves the share by > 20 standard errors.
+        rng = np.random.default_rng(1206)
+        kept = total = 0
+        for _ in range(5):
+            dep = sample_deployment(
+                300, 1000, 40, 1, rng, needs_onoff=False, needs_disk=True
+            )
+            mask = DeploymentEvaluator(dep).curve_mask("disk", 1, p)
+            kept += int(mask.sum())
+            total += mask.size
+        assert total > 150_000
+        z = (kept / total - p) / np.sqrt(p * (1.0 - p) / total)
+        assert abs(z) < 4.0
+
+
 class TestSweepDeterminism:
     def test_bit_exact_repeat_and_worker_invariance(self):
         scenario = _scenario(
