@@ -5,16 +5,14 @@ Builds the paper's model for a 1000-sensor network using the
 q-composite scheme (q = 2) over unreliable channels (p = 0.5), then:
 
 1. asks Theorem 1 for the asymptotic k-connectivity probability,
-2. cross-checks it with a quick Monte Carlo estimate,
-3. deploys one concrete network and inspects its topology.
+2. cross-checks it with a quick Monte Carlo estimate.
 
 Run:  python examples/quickstart.py
 """
 
-from repro import OnOffChannel, QCompositeParams, QCompositeScheme, SecureWSN
+from repro import QCompositeParams
 from repro.core.theorem1 import predict_k_connectivity
 from repro.study import MetricSpec, Scenario, run_scenario
-from repro.wsn.metrics import summarize
 
 
 def main() -> None:
@@ -50,20 +48,6 @@ def main() -> None:
         f"P[connected] (Monte Carlo, {estimate.trials} trials) = "
         f"{estimate.estimate:.3f}  "
         f"[95% CI {estimate.ci_low:.3f}, {estimate.ci_high:.3f}]"
-    )
-
-    # --- One concrete deployment ------------------------------------------
-    network = SecureWSN(
-        num_nodes=1000,
-        scheme=QCompositeScheme(key_ring_size=50, pool_size=10_000, q=2),
-        channel=OnOffChannel(0.5),
-        seed=42,
-    )
-    summary = summarize(network, with_clustering=False)
-    print(
-        f"one deployment    : {summary.num_secure_links} secure links, "
-        f"min degree {summary.min_degree}, "
-        f"{'connected' if summary.connected else 'NOT connected'}"
     )
 
 

@@ -15,11 +15,10 @@ The package layers:
   certificate;
 * :mod:`repro.graphs` — from-scratch graph algorithms (union-find, Tarjan,
   Dinic/Even k-connectivity) and the Erdős–Rényi generator;
-* :mod:`repro.keygraphs` — key pools, rings, uniform/binomial
-  q-intersection graphs, scheme objects;
-* :mod:`repro.channels` — on/off and disk channel models;
-* :mod:`repro.wsn` — deployed networks, routing, failures, capture attacks;
-* :mod:`repro.core` — Theorem 1, Lemmas 1/7/8/9, design guidelines (Eq. 9);
+* :mod:`repro.keygraphs` — key rings and the uniform/binomial
+  q-intersection graphs;
+* :mod:`repro.core` — Theorem 1, Lemmas 1/7/8/9, design guidelines (Eq. 9),
+  the capture-attack closed form;
 * :mod:`repro.simulation` — the Monte Carlo engine, worker pools and
   fault-tolerant scheduler;
 * :mod:`repro.study` — the declarative Scenario/Study layer: every
@@ -61,11 +60,7 @@ from repro.core.theorem1 import (
     Theorem1Prediction,
     predict_k_connectivity,
 )
-from repro.keygraphs.schemes import EschenauerGligorScheme, QCompositeScheme
-from repro.channels.onoff import OnOffChannel
-from repro.channels.disk import DiskChannel
 from repro.study import MetricSpec, Scenario, Study
-from repro.wsn.network import SecureWSN
 
 __version__ = "1.0.0"
 
@@ -82,13 +77,8 @@ __all__ = [
     "ConnectivityRegime",
     "Theorem1Prediction",
     "predict_k_connectivity",
-    "EschenauerGligorScheme",
-    "QCompositeScheme",
-    "OnOffChannel",
-    "DiskChannel",
     "MetricSpec",
     "Scenario",
     "Study",
-    "SecureWSN",
     "__version__",
 ]

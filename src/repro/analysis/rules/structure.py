@@ -172,7 +172,7 @@ class WorkerImportHygiene(Rule):
         # Everything a spawn-started worker imports transitively.
         "packages": [
             "kernels", "simulation", "study", "service", "graphs",
-            "keygraphs", "channels", "core", "probability", "utils", "wsn",
+            "keygraphs", "core", "probability", "utils",
         ],
         # The sanctioned configuration seam: ambient env resolution is
         # these modules' explicit, function-scoped job.  (They are still

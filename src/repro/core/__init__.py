@@ -1,5 +1,6 @@
 """Core theory: Theorem 1, its lemmas, and the design guidelines."""
 
+from repro.core.capture import analytic_compromise_fraction
 from repro.core.conditions import ConditionReport, check_theorem1_conditions
 from repro.core.confinement import (
     ConfinedDesign,
@@ -48,6 +49,7 @@ from repro.core.theorem1 import (
 )
 
 __all__ = [
+    "analytic_compromise_fraction",
     "ConditionReport",
     "check_theorem1_conditions",
     "ConfinedDesign",

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.core.capture import analytic_compromise_fraction
 from repro.simulation.engine import trials_from_env
 from repro.simulation.estimators import BernoulliEstimate
 from repro.simulation.results import CurvePoint, ExperimentResult
 from repro.study import MetricSpec, Scenario, Study
 from repro.utils.tables import format_table
-from repro.wsn.attacks import analytic_compromise_fraction
 
 __all__ = [
     "build_attack_study",

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.channels.disk import DiskChannel
 from repro.core.theorem1 import predict_k_connectivity
 from repro.params import QCompositeParams
 from repro.simulation.engine import trials_from_env
 from repro.simulation.results import CurvePoint, ExperimentResult
 from repro.study import MetricSpec, Scenario, Study
+from repro.study.metrics import disk_radius
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -83,10 +83,10 @@ def run_disk_comparison(
 ) -> ExperimentResult:
     """Sweep K under both channel models at one matched marginal ``p``."""
     trials = trials if trials is not None else trials_from_env(60, full=300)
-    disk = DiskChannel.for_edge_probability(channel_prob, torus=True)
     study = build_disk_study(
         trials, ring_sizes, channel_prob, num_nodes, pool_size, q, seed
     )
+    radius = disk_radius(channel_prob)
     study_result = study.run(workers=workers)
     curve = (q, channel_prob)
     points: List[CurvePoint] = []
@@ -107,7 +107,7 @@ def run_disk_comparison(
                     "disk_estimate": disk_est.estimate,
                     "disk_ci_low": disk_est.ci_low,
                     "disk_ci_high": disk_est.ci_high,
-                    "radius": disk.radius,
+                    "radius": radius,
                 },
                 estimate=onoff_est,
                 prediction=predict_k_connectivity(params, k=1).probability,
@@ -122,7 +122,7 @@ def run_disk_comparison(
             "num_nodes": num_nodes,
             "pool_size": pool_size,
             "q": q,
-            "radius": disk.radius,
+            "radius": radius,
             "seed": seed,
         },
         points=points,

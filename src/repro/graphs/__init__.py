@@ -1,43 +1,16 @@
 """Graph substrate: containers, algorithms, and random generators."""
 
 from repro.graphs.biconnectivity import articulation_points, is_biconnected
-from repro.graphs.edge_connectivity import (
-    edge_connectivity,
-    is_k_edge_connected,
-    local_edge_connectivity,
-)
 from repro.graphs.generators import (
     edge_to_pair_index,
     erdos_renyi_edges,
-    erdos_renyi_graph,
-    expected_edge_count,
     pair_index_to_edge,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.operators import (
-    decode_edges,
-    encode_edges,
-    intersect_edge_arrays,
-    intersection,
-    is_spanning_subgraph,
-    union,
-)
-from repro.graphs.properties import (
-    average_clustering,
-    degree_histogram,
-    degree_histogram_edges,
-    degrees_from_edges,
-    isolated_node_count,
-    min_degree,
-    min_degree_edges,
-    nodes_with_degree,
-)
 from repro.graphs.traversal import (
     bfs_order,
     connected_components,
-    eccentricity,
     is_connected,
-    shortest_path,
 )
 from repro.graphs.unionfind import (
     UnionFind,
@@ -57,34 +30,13 @@ from repro.graphs.maxflow import FlowNetwork
 __all__ = [
     "articulation_points",
     "is_biconnected",
-    "edge_connectivity",
-    "is_k_edge_connected",
-    "local_edge_connectivity",
     "edge_to_pair_index",
     "erdos_renyi_edges",
-    "erdos_renyi_graph",
-    "expected_edge_count",
     "pair_index_to_edge",
     "Graph",
-    "decode_edges",
-    "encode_edges",
-    "intersect_edge_arrays",
-    "intersection",
-    "is_spanning_subgraph",
-    "union",
-    "average_clustering",
-    "degree_histogram",
-    "degree_histogram_edges",
-    "degrees_from_edges",
-    "isolated_node_count",
-    "min_degree",
-    "min_degree_edges",
-    "nodes_with_degree",
     "bfs_order",
     "connected_components",
-    "eccentricity",
     "is_connected",
-    "shortest_path",
     "UnionFind",
     "connected_components_labels",
     "count_components_edges",

@@ -20,13 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.graphs.graph import Graph
 from repro.utils.rng import RandomState, as_generator, sample_distinct_integers
 from repro.utils.validation import check_positive_int, check_probability
 
 __all__ = [
     "erdos_renyi_edges",
-    "erdos_renyi_graph",
     "pair_index_to_edge",
     "edge_to_pair_index",
 ]
@@ -156,29 +154,3 @@ def erdos_renyi_edges(
     if method == "sparse":
         return _sample_sparse(num_nodes, prob, rng)
     raise ParameterError(f"unknown method {method!r}; use dense/sparse/auto")
-
-
-def erdos_renyi_graph(
-    num_nodes: int,
-    prob: float,
-    seed: RandomState = None,
-    *,
-    method: str = "auto",
-) -> Graph:
-    """Sample ``G(n, p)`` as a :class:`~repro.graphs.graph.Graph`."""
-    edges = erdos_renyi_edges(num_nodes, prob, seed, method=method)
-    return Graph.from_edge_array(num_nodes, edges)
-
-
-def expected_edge_count(num_nodes: int, prob: float) -> float:
-    """Expected number of edges ``p n (n-1) / 2`` (used by tests/benches)."""
-    num_nodes = check_positive_int(num_nodes, "num_nodes")
-    prob = check_probability(prob, "prob")
-    return prob * num_nodes * (num_nodes - 1) / 2.0
-
-
-def critical_probability(num_nodes: int, k: int = 1) -> float:
-    """ER k-connectivity threshold ``(ln n + (k-1) ln ln n)/n`` (Lemma 7)."""
-    from repro.probability.limits import critical_edge_probability
-
-    return critical_edge_probability(num_nodes, k)

@@ -1,11 +1,10 @@
 """Minimal immutable-ish undirected graph container.
 
 The simulation hot paths operate on raw numpy edge arrays, but the
-algorithmic layer (connectivity, flows, routing) wants adjacency sets.
+algorithmic layer (connectivity, flows) wants adjacency sets.
 :class:`Graph` bridges the two: it is built from an edge array or edge
 iterable, stores adjacency sets plus the canonical edge list, and offers
-cheap conversions back to numpy.  Nodes are always ``0 .. n-1`` — sensor
-identity mapping is the WSN layer's concern, not the graph substrate's.
+cheap conversions back to numpy.  Nodes are always ``0 .. n-1``.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ Monte Carlo workload in this repository:
 
 A backend supplies implementations of exactly these entry points and
 nothing else; everything above (study compiler,
-experiments, WSN layer) dispatches through
+experiments) dispatches through
 :func:`repro.kernels.get_backend`, whose one implementation is
 :class:`~repro.kernels.reference.ReferenceBackend`.
 

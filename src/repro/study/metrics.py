@@ -45,6 +45,7 @@ __all__ = [
     "Deployment",
     "DeploymentEvaluator",
     "class_pair_probabilities",
+    "disk_radius",
     "evaluate_scenario",
     "sample_deployment",
 ]
@@ -116,6 +117,14 @@ class Deployment:
     capture_order: Optional[np.ndarray] = None  # node permutation
     labels: Optional[np.ndarray] = None  # per-node class (class mix)
     pair_alpha: Optional[np.ndarray] = None  # per-candidate alpha[c(u), c(v)]
+
+
+def disk_radius(p: float) -> float:
+    """Torus disk radius whose link marginal ``pi * r**2`` equals *p*.
+
+    Exact for ``p <= pi / 4`` (``r <= 1/2``), the range scenarios allow.
+    """
+    return math.sqrt(p / math.pi)
 
 
 def class_pair_probabilities(
@@ -251,8 +260,7 @@ class DeploymentEvaluator:
                 mask = overlap_ok
         elif channel == "disk":
             assert dep.pair_dists is not None
-            radius = math.sqrt(p / math.pi)
-            mask = overlap_ok & (dep.pair_dists <= radius)
+            mask = overlap_ok & (dep.pair_dists <= disk_radius(p))
         else:  # pragma: no cover - scenarios validate the channel kind
             raise ParameterError(f"unknown channel {channel!r}")
         self._masks[key] = mask

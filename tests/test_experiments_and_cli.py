@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, ParameterError
 from repro.experiments.attack_tradeoff import (
     render_attack_tradeoff,
     run_attack_tradeoff,
@@ -236,6 +236,12 @@ class TestCli:
         with pytest.raises(ExperimentError, match="KEY=VALUE"):
             main(["run", "kstar", "--set", "oops"])
 
+    def test_run_disk_rejects_marginal_past_pi_over_4(self):
+        # The torus closed form needs r <= 1/2, i.e. p <= pi/4; the
+        # scenario check reports it as a typed parameter error.
+        with pytest.raises(ParameterError, match="pi/4"):
+            main(["run", "disk", "--set", "channel_prob=0.9", "--set", "trials=1"])
+
     def test_all_applies_set_per_experiment(self, monkeypatch, capsys):
         # `repro all --set` applies each override to the experiments
         # that accept it and skips the rest with a stderr warning
@@ -261,6 +267,55 @@ class TestCli:
         assert "limit law" in captured.out
         assert "kstar does not accept --set trials" in captured.err
         assert "theorem1 does not accept" not in captured.err
+
+
+class TestCliAll:
+    def test_all_runs_every_registered_experiment(self, capsys, monkeypatch):
+        # Substitute a micro registry so `all` completes in milliseconds
+        # while still exercising the real dispatch loop.
+        from repro import cli
+        from repro.experiments import registry as reg
+        from repro.experiments.kstar import render_kstar, run_kstar
+
+        micro = {
+            "kstar": reg.ExperimentSpec(
+                name="kstar",
+                paper_anchor="Eq. (9)",
+                description="thresholds",
+                run=run_kstar,
+                render=render_kstar,
+            )
+        }
+        monkeypatch.setattr(reg, "REGISTRY", micro)
+        assert cli.main(["all"]) == 0
+        out = capsys.readouterr().out
+        assert "=== kstar" in out
+        assert "paper K*" in out
+
+    def test_all_forwards_workers_flag(self, capsys, monkeypatch):
+        from repro import cli
+        from repro.experiments import registry as reg
+
+        seen = {}
+
+        def fake_run(**kwargs):
+            seen.update(kwargs)
+            from repro.experiments.kstar import run_kstar
+
+            return run_kstar()
+
+        micro = {
+            "demo": reg.ExperimentSpec(
+                name="demo",
+                paper_anchor="-",
+                description="-",
+                run=fake_run,
+                render=lambda result: "ok",
+            )
+        }
+        monkeypatch.setattr(reg, "REGISTRY", micro)
+        assert cli.main(["all", "--trials", "7", "--workers", "2"]) == 0
+        assert seen == {"trials": 7, "workers": 2}
 
 
 class TestCliStudy:

@@ -11,8 +11,6 @@ from repro.exceptions import ParameterError
 from repro.graphs.generators import (
     edge_to_pair_index,
     erdos_renyi_edges,
-    erdos_renyi_graph,
-    expected_edge_count,
     pair_index_to_edge,
 )
 
@@ -82,7 +80,7 @@ class TestErdosRenyi:
             erdos_renyi_edges(n, p, seed=s).shape[0] for s in range(30)
         ]
         mean = np.mean(counts)
-        expect = expected_edge_count(n, p)
+        expect = p * n * (n - 1) / 2
         # 30 samples of Binomial(44850, 0.1): std ≈ 63, mean ≈ 4485.
         assert abs(mean - expect) < 5 * 63 / np.sqrt(30) + 1
 
@@ -96,7 +94,7 @@ class TestErdosRenyi:
             erdos_renyi_edges(n, p, seed=1000 + s, method="sparse").shape[0]
             for s in range(25)
         ]
-        expect = expected_edge_count(n, p)
+        expect = p * n * (n - 1) / 2
         sd = np.sqrt(expect * (1 - p))
         assert abs(np.mean(dense_counts) - expect) < 5 * sd / 5
         assert abs(np.mean(sparse_counts) - expect) < 5 * sd / 5
@@ -109,11 +107,6 @@ class TestErdosRenyi:
     def test_unknown_method_raises(self):
         with pytest.raises(ParameterError):
             erdos_renyi_edges(10, 0.5, method="quantum")
-
-    def test_graph_wrapper(self):
-        g = erdos_renyi_graph(30, 0.3, seed=2)
-        assert g.num_nodes == 30
-        assert g.num_edges > 0
 
     def test_invalid_probability(self):
         with pytest.raises(ParameterError):

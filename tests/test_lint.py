@@ -45,6 +45,16 @@ class TestRegistry:
     def test_all_rules_registered(self):
         assert [rule.id for rule in list_rules()] == ALL_RULE_IDS
 
+    def test_configured_packages_exist(self):
+        # A rule scoped to a package that no longer exists matches
+        # nothing, so a stale name would pass silently.
+        for rule in list_rules():
+            for package in rule.default_config.get("packages", []):
+                assert (SRC / "repro" / package / "__init__.py").is_file(), (
+                    rule.id,
+                    package,
+                )
+
     def test_unknown_rule_select_is_config_error(self):
         with pytest.raises(AnalysisError):
             lint_fixture("r001", select=["R777"])

@@ -56,23 +56,19 @@ class TestTopLevelExports:
 
     def test_subpackage_all_exports_resolve(self):
         import repro.core
-        import repro.channels
         import repro.graphs
         import repro.keygraphs
         import repro.probability
         import repro.simulation
         import repro.utils
-        import repro.wsn
 
         for module in (
             repro.core,
-            repro.channels,
             repro.graphs,
             repro.keygraphs,
             repro.probability,
             repro.simulation,
             repro.utils,
-            repro.wsn,
         ):
             for name in module.__all__:
                 assert getattr(module, name) is not None, (module.__name__, name)
