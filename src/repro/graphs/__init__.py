@@ -4,13 +4,16 @@ from repro.graphs.biconnectivity import articulation_points, is_biconnected
 from repro.graphs.generators import (
     edge_to_pair_index,
     erdos_renyi_edges,
+    erdos_renyi_graph,
     pair_index_to_edge,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     bfs_order,
     connected_components,
+    eccentricity,
     is_connected,
+    shortest_path,
 )
 from repro.graphs.unionfind import (
     UnionFind,
@@ -32,11 +35,14 @@ __all__ = [
     "is_biconnected",
     "edge_to_pair_index",
     "erdos_renyi_edges",
+    "erdos_renyi_graph",
     "pair_index_to_edge",
     "Graph",
     "bfs_order",
     "connected_components",
+    "eccentricity",
     "is_connected",
+    "shortest_path",
     "UnionFind",
     "connected_components_labels",
     "count_components_edges",

@@ -2,6 +2,7 @@
 
 from repro.keygraphs.binomial_graph import (
     binomial_intersection_edges,
+    binomial_intersection_graph,
     coupled_ring_pair,
 )
 from repro.keygraphs.rings import (
@@ -15,10 +16,12 @@ from repro.keygraphs.uniform_graph import (
     edges_from_rings,
     overlap_counts_from_rings,
     uniform_intersection_edges,
+    uniform_intersection_graph,
 )
 
 __all__ = [
     "binomial_intersection_edges",
+    "binomial_intersection_graph",
     "coupled_ring_pair",
     "rings_to_incidence",
     "sample_binomial_rings",
@@ -28,4 +31,5 @@ __all__ = [
     "edges_from_rings",
     "overlap_counts_from_rings",
     "uniform_intersection_edges",
+    "uniform_intersection_graph",
 ]

@@ -23,6 +23,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ParameterError
+from repro.graphs.graph import Graph
 from repro.kernels import get_backend
 from repro.keygraphs.rings import rings_to_incidence, sample_uniform_rings
 from repro.utils.rng import RandomState
@@ -32,6 +33,7 @@ __all__ = [
     "edges_from_rings",
     "overlap_counts_from_rings",
     "uniform_intersection_edges",
+    "uniform_intersection_graph",
 ]
 
 Rings = Union[np.ndarray, Sequence[np.ndarray]]
@@ -135,3 +137,19 @@ def uniform_intersection_edges(
     """Sample ``G_q(n, K, P)`` and return its canonical edge array."""
     rings = sample_uniform_rings(num_nodes, key_ring_size, pool_size, seed)
     return edges_from_rings(rings, q, backend=backend)
+
+
+def uniform_intersection_graph(
+    num_nodes: int,
+    key_ring_size: int,
+    pool_size: int,
+    q: int,
+    seed: RandomState = None,
+    *,
+    backend: str = "inverted",
+) -> Graph:
+    """Sample ``G_q(n, K, P)`` as a :class:`~repro.graphs.graph.Graph`."""
+    edges = uniform_intersection_edges(
+        num_nodes, key_ring_size, pool_size, q, seed, backend=backend
+    )
+    return Graph.from_edge_array(num_nodes, edges)

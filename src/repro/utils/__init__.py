@@ -12,6 +12,8 @@ from repro.utils.logmath import (
 from repro.utils.rng import (
     RandomState,
     as_generator,
+    spawn_generators,
+    spawn_seed_sequences,
     trial_seed_sequence,
 )
 from repro.utils.tables import format_curve, format_kv_block, format_table
@@ -35,6 +37,8 @@ __all__ = [
     "stable_sum",
     "RandomState",
     "as_generator",
+    "spawn_generators",
+    "spawn_seed_sequences",
     "trial_seed_sequence",
     "format_curve",
     "format_kv_block",

@@ -15,13 +15,15 @@ spawning so that
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 __all__ = [
     "RandomState",
     "as_generator",
+    "spawn_generators",
+    "spawn_seed_sequences",
     "grid_seed_sequence",
     "sample_distinct_integers",
     "STREAM_VERSION",
@@ -43,6 +45,31 @@ def as_generator(seed: RandomState = None) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
+
+
+def spawn_seed_sequences(seed: RandomState, count: int) -> List[np.random.SeedSequence]:
+    """Derive *count* independent ``SeedSequence`` children from *seed*.
+
+    When *seed* is already a ``Generator`` we spawn from its internal
+    bit-generator seed sequence, so parallel fan-out from a shared
+    generator remains deterministic.
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if isinstance(seed, np.random.Generator):
+        ss = seed.bit_generator.seed_seq  # type: ignore[attr-defined]
+        if not isinstance(ss, np.random.SeedSequence):  # pragma: no cover
+            ss = np.random.SeedSequence()
+    elif isinstance(seed, np.random.SeedSequence):
+        ss = seed
+    else:
+        ss = np.random.SeedSequence(seed)
+    return list(ss.spawn(count))
+
+
+def spawn_generators(seed: RandomState, count: int) -> List[np.random.Generator]:
+    """Derive *count* independent generators from *seed*."""
+    return [np.random.default_rng(s) for s in spawn_seed_sequences(seed, count)]
 
 
 def trial_seed_sequence(

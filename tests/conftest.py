@@ -56,3 +56,45 @@ def random_gnp_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
             if rng.random() < p:
                 g.add_edge(u, v)
     return g
+
+
+def replay_deployment_stream(
+    dep, pool_size, ring_size, seed, *, needs_onoff, needs_disk
+):
+    """Re-draw a homogeneous deployment's stream by hand.
+
+    ``sample_deployment`` documents its draw order: rings, then one
+    on/off uniform per candidate, then torus positions.  Replaying it
+    from the same seed recovers the variables the deployment consumed
+    (positions are not stored, only the per-candidate distances).
+    Returns ``(rings, uniforms, positions)``.
+    """
+    from repro.keygraphs.rings import sample_uniform_rings
+
+    stream = np.random.default_rng(seed)
+    rings = sample_uniform_rings(dep.num_nodes, ring_size, pool_size, stream)
+    uniforms = stream.random(dep.candidates.size) if needs_onoff else None
+    positions = stream.random((dep.num_nodes, 2)) if needs_disk else None
+    return rings, uniforms, positions
+
+
+def torus_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean distance on the unit torus, written out independently."""
+    d = np.abs(np.asarray(a) - np.asarray(b))
+    d = np.minimum(d, 1.0 - d)
+    return float(np.sqrt((d * d).sum()))
+
+
+def attacked_deployment(num_nodes, pool_size, ring_size, q, seed):
+    """An on/off deployment carrying a capture permutation, with its evaluator."""
+    from repro.study.metrics import DeploymentEvaluator, sample_deployment
+
+    dep = sample_deployment(
+        num_nodes,
+        pool_size,
+        ring_size,
+        q,
+        np.random.default_rng(seed),
+        needs_capture=True,
+    )
+    return dep, DeploymentEvaluator(dep)

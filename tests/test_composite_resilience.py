@@ -1,112 +1,92 @@
-"""Tests for CompositeChannel and resilient connectivity."""
+"""Tests for resilient connectivity under node capture on the deployment path.
+
+A link is *resilient* when it survives the capture of ``x`` sensors: both
+endpoints are uncaptured and at least one of the keys the pair shares
+stays outside the captured rings.  ``survivor_connectivity`` asks
+whether the uncaptured nodes stay connected ignoring compromise;
+``resilient_connectivity`` asks the same of the trusted links only.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.channels.composite import CompositeChannel
-from repro.channels.disk import DiskChannel
-from repro.channels.onoff import OnOffChannel
 from repro.exceptions import ParameterError
-from repro.keygraphs.schemes import QCompositeScheme
-from repro.wsn.network import SecureWSN
-from repro.wsn.resilience import evaluate_resilience
+from repro.study import MetricSpec, Scenario
+from tests.conftest import attacked_deployment
 
 
-class TestCompositeChannel:
-    def test_marginal_is_product(self):
-        chan = CompositeChannel([OnOffChannel(0.5), OnOffChannel(0.4)])
-        assert chan.edge_probability() == pytest.approx(0.2)
-
-    def test_empty_members_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeChannel([])
-
-    def test_mask_is_and_of_members(self):
-        chan = CompositeChannel([OnOffChannel(0.6), OnOffChannel(0.6)])
-        real = chan.sample(50, seed=3)
-        edges = np.array([(u, v) for u in range(50) for v in range(u + 1, 50)])
-        mask = real.edge_mask(edges)
-        m0 = real.members[0].edge_mask(edges)
-        m1 = real.members[1].edge_mask(edges)
-        assert np.array_equal(mask, m0 & m1)
-
-    def test_mask_consistent_on_requery(self):
-        real = CompositeChannel([OnOffChannel(0.5), OnOffChannel(0.5)]).sample(
-            20, seed=4
-        )
-        edges = np.array([[0, 1], [2, 3], [4, 5]])
-        first = real.edge_mask(edges)
-        assert np.array_equal(real.edge_mask(edges), first)
-
-    def test_channel_edges_subset_of_each_member(self):
-        chan = CompositeChannel([OnOffChannel(0.7), DiskChannel(0.5, torus=True)])
-        real = chan.sample(30, seed=5)
-        composite_edges = {tuple(map(int, e)) for e in real.channel_edges()}
-        for member in real.members:
-            member_mask = member.edge_mask(
-                np.array(sorted(composite_edges), dtype=np.int64).reshape(-1, 2)
-            )
-            assert member_mask.all()
-
-    def test_triple_intersection_in_wsn(self):
-        # G_q ∩ G(n,p) ∩ RGG(n,r): reference [38]'s model, end to end.
-        chan = CompositeChannel([OnOffChannel(0.8), DiskChannel(0.6, torus=True)])
-        wsn = SecureWSN(40, QCompositeScheme(15, 200, 2), chan, seed=6)
-        onoff_only = SecureWSN(
-            40, QCompositeScheme(15, 200, 2), OnOffChannel(0.8), seed=6
-        )
-        # Same seed gives same rings; extra constraint can only thin links.
-        assert np.array_equal(wsn.rings, onoff_only.rings)
-        assert wsn.secure_edges().shape[0] <= onoff_only.secure_edges().shape[0]
+def _metric(ev, kind, captured, q=2, p=0.9):
+    return ev.evaluate("onoff", q, p, MetricSpec(kind, captured=captured))
 
 
 class TestResilience:
     @pytest.fixture
-    def net(self) -> SecureWSN:
-        return SecureWSN(
-            60, QCompositeScheme(25, 300, 2), OnOffChannel(0.9), seed=11
-        )
+    def net(self):
+        return attacked_deployment(60, 300, 25, 2, seed=11)
 
     def test_zero_captured_matches_plain_connectivity(self, net):
-        out = evaluate_resilience(net, 0, seed=1)
-        assert out.compromised_links == 0
-        assert out.survivors == 60
-        assert out.resiliently_connected == out.connected_ignoring_compromise
-        assert out.connected_ignoring_compromise == net.is_connected()
+        _, ev = net
+        assert _metric(ev, "attack_compromised", 0) == 0.0
+        assert _metric(ev, "attack_evaluated", 0) == float(
+            ev.curve_mask("onoff", 2, 0.9).sum()
+        )
+        resilient = _metric(ev, "resilient_connectivity", 0)
+        assert resilient == _metric(ev, "survivor_connectivity", 0)
+        assert resilient == ev.evaluate("onoff", 2, 0.9, MetricSpec("connectivity"))
 
-    def test_resilient_implies_plain(self, net):
+    def test_resilient_implies_plain(self):
         for seed in range(8):
-            out = evaluate_resilience(net, 10, seed=seed)
-            if out.resiliently_connected:
-                assert out.connected_ignoring_compromise
+            _, ev = attacked_deployment(60, 300, 25, 2, seed=seed)
+            if _metric(ev, "resilient_connectivity", 10):
+                assert _metric(ev, "survivor_connectivity", 10)
 
     def test_survivor_count(self, net):
-        out = evaluate_resilience(net, 15, seed=2)
-        assert out.survivors == 45
-        assert len(out.captured_nodes) == 15
+        dep, ev = net
+        # Captures follow one node permutation; the first 15 entries are
+        # the captured sensors and the other 45 survive.
+        assert sorted(dep.capture_order.tolist()) == list(range(60))
+        alive = np.ones(60, dtype=bool)
+        alive[dep.capture_order[:15]] = False
+        assert int(alive.sum()) == 45
+        keys = ev.selected_keys("onoff", 2, 0.9)
+        u, v = keys // 60, keys % 60
+        assert _metric(ev, "attack_evaluated", 15) == float((alive[u] & alive[v]).sum())
 
     def test_compromise_fraction_bounds(self, net):
-        out = evaluate_resilience(net, 20, seed=3)
-        assert 0.0 <= out.compromise_fraction <= 1.0
-        assert (
-            out.surviving_links + out.compromised_links
-            >= out.surviving_links
-        )
+        _, ev = net
+        compromised = _metric(ev, "attack_compromised", 20)
+        evaluated = _metric(ev, "attack_evaluated", 20)
+        assert evaluated > 0
+        assert 0.0 <= compromised / evaluated <= 1.0
 
     def test_nondestructive(self, net):
-        before = net.live_count()
-        evaluate_resilience(net, 12, seed=4)
-        assert net.live_count() == before
+        dep, ev = net
+        candidates = dep.candidates.copy()
+        mask = ev.curve_mask("onoff", 2, 0.9).copy()
+        plain = ev.evaluate("onoff", 2, 0.9, MetricSpec("connectivity"))
+        _metric(ev, "resilient_connectivity", 12)
+        assert np.array_equal(dep.candidates, candidates)
+        assert np.array_equal(ev.curve_mask("onoff", 2, 0.9), mask)
+        assert ev.evaluate("onoff", 2, 0.9, MetricSpec("connectivity")) == plain
+        assert _metric(ev, "attack_compromised", 0) == 0.0
 
-    def test_capture_too_many_raises(self, net):
-        with pytest.raises(ParameterError):
-            evaluate_resilience(net, 59)
+    def test_capture_too_many_raises(self):
+        with pytest.raises(ParameterError, match="at least two must survive"):
+            Scenario(
+                name="resilience",
+                num_nodes=60,
+                pool_size=300,
+                ring_sizes=(25,),
+                curves=((2, 0.9),),
+                metrics=(MetricSpec("resilient_connectivity", captured=59),),
+                trials=1,
+            )
 
-    def test_negative_captured_raises(self, net):
+    def test_negative_captured_raises(self):
         with pytest.raises(ParameterError):
-            evaluate_resilience(net, -1)
+            MetricSpec("resilient_connectivity", captured=-1)
 
     def test_heavy_capture_degrades(self):
         # With a tiny pool, capturing most sensors compromises nearly
@@ -114,13 +94,10 @@ class TestResilience:
         # than plain connectivity.
         resilient_hits = plain_hits = 0
         for seed in range(10):
-            net = SecureWSN(
-                40, QCompositeScheme(12, 60, 1), OnOffChannel(1.0), seed=seed
-            )
-            out = evaluate_resilience(net, 25, seed=seed)
-            resilient_hits += out.resiliently_connected
-            plain_hits += out.connected_ignoring_compromise
-        assert resilient_hits <= plain_hits
+            _, ev = attacked_deployment(40, 60, 12, 1, seed=seed)
+            resilient_hits += _metric(ev, "resilient_connectivity", 25, q=1, p=1.0)
+            plain_hits += _metric(ev, "survivor_connectivity", 25, q=1, p=1.0)
+        assert resilient_hits < plain_hits
 
     def test_experiment_registered(self):
         from repro.experiments.registry import get_experiment

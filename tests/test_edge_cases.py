@@ -1,4 +1,4 @@
-"""Edge-case tests targeting less-traveled code paths."""
+"""Edge-case tests for the overlap distribution's dense-ring fallbacks."""
 
 from __future__ import annotations
 
@@ -6,59 +6,12 @@ import numpy as np
 import pytest
 from scipy.stats import hypergeom
 
-from repro.channels.onoff import OnOffChannel
-from repro.keygraphs.schemes import QCompositeScheme
 from repro.probability.hypergeometric import (
     log_overlap_survival,
     overlap_pmf_vector,
     overlap_survival,
 )
-from repro.wsn.failures import worst_case_failure_search
-from repro.wsn.network import SecureWSN
-
-
-class _PathScheme(QCompositeScheme):
-    """Deterministic rings that force a path topology under q = 2.
-
-    Ring i = {2i, 2i+1, 2i+2, 2i+3}: consecutive rings share exactly
-    two keys, rings two apart share none — so the q = 2 key graph is
-    the path graph, whose interior nodes are all cut vertices.
-    """
-
-    def __init__(self, num_nodes: int) -> None:
-        super().__init__(key_ring_size=4, pool_size=2 * num_nodes + 4, q=2)
-
-    def assign_rings(self, num_nodes, seed=None):  # noqa: D102 - see class
-        return np.array(
-            [[2 * i, 2 * i + 1, 2 * i + 2, 2 * i + 3] for i in range(num_nodes)],
-            dtype=np.int64,
-        )
-
-
-class TestWorstCaseWitness:
-    def test_path_topology_has_single_node_witness(self):
-        n = 8
-        wsn = SecureWSN(n, _PathScheme(n), OnOffChannel(1.0), seed=1)
-        # Sanity: the crafted topology is the path graph.
-        expect = {(i, i + 1) for i in range(n - 1)}
-        assert {tuple(map(int, e)) for e in wsn.secure_edges()} == expect
-
-        survives, witness = worst_case_failure_search(wsn, 1)
-        assert not survives
-        assert len(witness) == 1
-        assert witness[0] not in (0, n - 1)  # an interior cut vertex
-
-    def test_random_probing_mode(self):
-        # Force the sampled (non-exhaustive) branch with a tiny budget.
-        n = 12
-        wsn = SecureWSN(n, _PathScheme(n), OnOffChannel(1.0), seed=2)
-        survives, witness = worst_case_failure_search(
-            wsn, 3, max_combinations=10, seed=3
-        )
-        # With a path graph, any sampled triple not made solely of the
-        # two endpoints disconnects; 10 random probes find one w.h.p.
-        assert not survives
-        assert len(witness) == 3
+from repro.study.metrics import sample_deployment
 
 
 class TestHypergeometricFallbacks:
@@ -92,9 +45,10 @@ class TestHypergeometricFallbacks:
         assert val == pytest.approx(1.0)  # overlap >= 1 is near-certain
 
     def test_scheme_with_dense_rings(self):
-        # End-to-end through the scheme layer in the 2K > P regime.
-        scheme = QCompositeScheme(8, 10, 6)
-        rings = scheme.assign_rings(6, seed=4)
-        edges = scheme.key_graph_edges(rings)
-        # Overlap >= 6 is certain: complete graph.
-        assert edges.shape[0] == 15
+        # End-to-end through the deployment sampler in the 2K > P regime
+        # (the ring sampler's shuffle fallback).
+        rng = np.random.default_rng(4)
+        dep = sample_deployment(6, 10, 8, 6, rng)
+        # Overlap >= 6 is certain: every pair is a candidate.
+        assert dep.candidates.size == 15
+        assert int(dep.counts.min()) >= 6

@@ -269,55 +269,6 @@ class TestCli:
         assert "theorem1 does not accept" not in captured.err
 
 
-class TestCliAll:
-    def test_all_runs_every_registered_experiment(self, capsys, monkeypatch):
-        # Substitute a micro registry so `all` completes in milliseconds
-        # while still exercising the real dispatch loop.
-        from repro import cli
-        from repro.experiments import registry as reg
-        from repro.experiments.kstar import render_kstar, run_kstar
-
-        micro = {
-            "kstar": reg.ExperimentSpec(
-                name="kstar",
-                paper_anchor="Eq. (9)",
-                description="thresholds",
-                run=run_kstar,
-                render=render_kstar,
-            )
-        }
-        monkeypatch.setattr(reg, "REGISTRY", micro)
-        assert cli.main(["all"]) == 0
-        out = capsys.readouterr().out
-        assert "=== kstar" in out
-        assert "paper K*" in out
-
-    def test_all_forwards_workers_flag(self, capsys, monkeypatch):
-        from repro import cli
-        from repro.experiments import registry as reg
-
-        seen = {}
-
-        def fake_run(**kwargs):
-            seen.update(kwargs)
-            from repro.experiments.kstar import run_kstar
-
-            return run_kstar()
-
-        micro = {
-            "demo": reg.ExperimentSpec(
-                name="demo",
-                paper_anchor="-",
-                description="-",
-                run=fake_run,
-                render=lambda result: "ok",
-            )
-        }
-        monkeypatch.setattr(reg, "REGISTRY", micro)
-        assert cli.main(["all", "--trials", "7", "--workers", "2"]) == 0
-        assert seen == {"trials": 7, "workers": 2}
-
-
 class TestCliStudy:
     STUDY = {
         "name": "cli_smoke",

@@ -11,6 +11,7 @@ from repro.exceptions import ParameterError
 from repro.graphs.generators import (
     edge_to_pair_index,
     erdos_renyi_edges,
+    erdos_renyi_graph,
     pair_index_to_edge,
 )
 
@@ -107,6 +108,11 @@ class TestErdosRenyi:
     def test_unknown_method_raises(self):
         with pytest.raises(ParameterError):
             erdos_renyi_edges(10, 0.5, method="quantum")
+
+    def test_graph_wrapper(self):
+        g = erdos_renyi_graph(30, 0.3, seed=2)
+        assert g.num_nodes == 30
+        assert g.num_edges > 0
 
     def test_invalid_probability(self):
         with pytest.raises(ParameterError):

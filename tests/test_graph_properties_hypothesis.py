@@ -7,12 +7,13 @@ rather than sampled from a fixed random model.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.biconnectivity import articulation_points, is_biconnected
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import connected_components, is_connected
+from repro.graphs.traversal import connected_components, is_connected, shortest_path
 from repro.graphs.unionfind import count_components_edges, is_connected_edges
 from repro.graphs.vertex_connectivity import is_k_connected, vertex_connectivity
 
@@ -81,7 +82,35 @@ class TestConnectivityInvariants:
             assert len(comps) > 2 or (len(comps) == 2 and g.num_nodes == 2)
 
 
+class TestPathInvariants:
+    @given(graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_shortest_path_is_valid_and_minimal_stepwise(self, g):
+        path = shortest_path(g, 0, g.num_nodes - 1)
+        if path is None:
+            comps = connected_components(g)
+            comp_of_0 = next(c for c in comps if 0 in c)
+            assert g.num_nodes - 1 not in comp_of_0
+            return
+        assert path[0] == 0 and path[-1] == g.num_nodes - 1
+        assert len(set(path)) == len(path)  # simple path
+        for a, b in zip(path, path[1:]):
+            assert g.has_edge(a, b)
+
+
 class TestOperatorInvariants:
+    @given(graphs(max_nodes=8), graphs(max_nodes=8))
+    @settings(max_examples=80, deadline=None)
+    def test_intersection_union_lattice(self, a, b):
+        n = max(a.num_nodes, b.num_nodes)
+        a2 = Graph(n, a.edges())
+        b2 = Graph(n, b.edges())
+        inter = Graph(n, a2.edge_set() & b2.edge_set())
+        uni = Graph(n, a2.edge_set() | b2.edge_set())
+        assert inter.edge_set() <= a2.edge_set() and inter.edge_set() <= b2.edge_set()
+        assert a2.edge_set() <= uni.edge_set() and b2.edge_set() <= uni.edge_set()
+        assert inter.num_edges + uni.num_edges == a2.num_edges + b2.num_edges
+
     @given(graphs(max_nodes=8), graphs(max_nodes=8))
     @settings(max_examples=60, deadline=None)
     def test_connectivity_monotone_under_supergraph(self, a, b):
@@ -97,3 +126,13 @@ class TestDegreeInvariants:
     @settings(max_examples=100, deadline=None)
     def test_handshake_lemma(self, g):
         assert int(g.degrees().sum()) == 2 * g.num_edges
+
+    @given(graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_degrees_match_graph_view(self, g):
+        # The study derives degrees as one bincount over edge endpoints;
+        # it must agree with the adjacency-set view.
+        edges = g.to_edge_array()
+        assert np.array_equal(
+            np.bincount(edges.ravel(), minlength=g.num_nodes), g.degrees()
+        )

@@ -1,151 +1,139 @@
-"""Tests for the SecureWSN façade — the Eq. (1) composition."""
+"""Tests for the Eq. (1) composition on the deployment path.
+
+A secure link needs both halves of the model: at least ``q`` shared
+keys (the key graph) and an on channel.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.channels.onoff import OnOffChannel
-from repro.exceptions import ParameterError
-from repro.keygraphs.schemes import QCompositeScheme, shared_keys
-from repro.params import QCompositeParams
-from repro.wsn.network import SecureWSN
+from repro.graphs.graph import Graph
+from repro.graphs.vertex_connectivity import is_k_connected, vertex_connectivity
+from repro.keygraphs.uniform_graph import edges_from_rings
+from repro.study import MetricSpec
+from repro.study.metrics import DeploymentEvaluator, sample_deployment
+from tests.conftest import attacked_deployment, replay_deployment_stream
+
+N, P, K, Q, CHANNEL_P = 30, 100, 10, 2, 0.6
 
 
 @pytest.fixture
-def net() -> SecureWSN:
-    return SecureWSN(
-        30, QCompositeScheme(10, 100, 2), OnOffChannel(0.6), seed=77
-    )
+def net():
+    dep = sample_deployment(N, P, K, Q, np.random.default_rng(77))
+    return dep, DeploymentEvaluator(dep)
+
+
+def _pairs(keys, n):
+    return {divmod(int(k), n) for k in keys}
 
 
 class TestConstruction:
-    def test_sensor_count(self, net):
-        assert len(net.sensors) == 30
-        assert net.live_count() == 30
-
     def test_rings_match_scheme(self, net):
-        assert net.rings.shape == (30, 10)
+        dep, _ = net
+        assert dep.rings.shape == (N, K)
+        assert (np.diff(dep.rings, axis=1) > 0).all()  # sorted, distinct
+        assert dep.rings.min() >= 0 and dep.rings.max() < P
 
-    def test_needs_two_sensors(self):
-        with pytest.raises(ParameterError):
-            SecureWSN(1, QCompositeScheme(5, 50, 1))
-
-    def test_default_channel_perfect(self):
-        wsn = SecureWSN(10, QCompositeScheme(5, 30, 1), seed=1)
+    def test_default_channel_perfect(self, net):
+        dep, ev = net
         # p = 1: secure edges equal key-graph edges.
-        assert np.array_equal(wsn.secure_edges(), wsn.key_graph_edges)
-
-    def test_from_params(self):
-        params = QCompositeParams(
-            num_nodes=20, key_ring_size=8, pool_size=80, overlap=2, channel_prob=0.5
-        )
-        wsn = SecureWSN.from_params(params, seed=3)
-        assert wsn.num_nodes == 20
-        assert wsn.scheme.q == 2
+        key = {tuple(map(int, e)) for e in edges_from_rings(dep.rings, Q)}
+        assert _pairs(ev.selected_keys("onoff", Q, 1.0), N) == key
 
     def test_deterministic_given_seed(self):
-        a = SecureWSN(15, QCompositeScheme(6, 60, 1), OnOffChannel(0.5), seed=9)
-        b = SecureWSN(15, QCompositeScheme(6, 60, 1), OnOffChannel(0.5), seed=9)
-        assert np.array_equal(a.secure_edges(), b.secure_edges())
+        a = sample_deployment(15, 60, 6, 1, np.random.default_rng(9))
+        b = sample_deployment(15, 60, 6, 1, np.random.default_rng(9))
+        assert np.array_equal(a.candidates, b.candidates)
+        assert np.array_equal(a.uniforms, b.uniforms)
+        assert np.array_equal(
+            DeploymentEvaluator(a).curve_mask("onoff", 1, 0.5),
+            DeploymentEvaluator(b).curve_mask("onoff", 1, 0.5),
+        )
+
+
+class TestFailures:
+    """Node loss on the deployment path: captured sensors leave the graph."""
+
+    @pytest.fixture
+    def attacked(self):
+        return attacked_deployment(N, P, K, Q, seed=77)
+
+    @staticmethod
+    def _links(ev, captured):
+        metric = MetricSpec("attack_evaluated", captured=captured)
+        return ev.evaluate("onoff", Q, CHANNEL_P, metric)
+
+    def test_failed_node_drops_edges(self, attacked):
+        dep, ev = attacked
+        victim = int(dep.capture_order[0])
+        degree = int(ev.degrees("onoff", Q, CHANNEL_P)[victim])
+        assert degree > 0
+        total = int(ev.curve_mask("onoff", Q, CHANNEL_P).sum())
+        assert self._links(ev, 1) == float(total - degree)
+
+    def test_restore_all(self, attacked):
+        _, ev = attacked
+        before = ev.evaluate("onoff", Q, CHANNEL_P, MetricSpec("connectivity"))
+        self._links(ev, 3)
+        assert self._links(ev, 0) == float(ev.curve_mask("onoff", Q, CHANNEL_P).sum())
+        assert ev.evaluate("onoff", Q, CHANNEL_P, MetricSpec("connectivity")) == before
+
+    def test_connectivity_on_live_subgraph(self):
+        # Fail everything except two sensors of a complete key graph
+        # (K = 9 of P = 10 forces >= 8 shared keys): connected again.
+        _, ev = attacked_deployment(10, 10, 9, 1, seed=2)
+        metric = MetricSpec("survivor_connectivity", captured=8)
+        assert ev.evaluate("onoff", 1, 1.0, metric) == 1.0
 
 
 class TestTopologySemantics:
     def test_secure_edges_subset_of_key_edges(self, net):
-        key = {tuple(map(int, e)) for e in net.key_graph_edges}
-        secure = {tuple(map(int, e)) for e in net.secure_edges()}
+        dep, ev = net
+        key = {tuple(map(int, e)) for e in edges_from_rings(dep.rings, Q)}
+        secure = _pairs(ev.selected_keys("onoff", Q, CHANNEL_P), N)
         assert secure <= key
+        assert len(secure) < len(key)
 
     def test_key_edges_satisfy_overlap(self, net):
-        for u, v in net.key_graph_edges:
-            assert shared_keys(net.rings[int(u)], net.rings[int(v)]).size >= 2
+        dep, _ = net
+        for key, count in zip(dep.candidates, dep.counts):
+            u, v = divmod(int(key), N)
+            shared = np.intersect1d(dep.rings[u], dep.rings[v]).size
+            assert shared == count and shared >= Q
 
     def test_secure_edge_iff_key_and_channel(self, net):
         # Every key edge with an on channel appears; off channels don't.
-        mask = net.channel_state.edge_mask(net.key_graph_edges)
-        expect = {
-            tuple(map(int, e))
-            for e, m in zip(net.key_graph_edges, mask)
-            if m
-        }
-        assert {tuple(map(int, e)) for e in net.secure_edges()} == expect
-
-    def test_can_communicate_matches_graph(self, net):
-        g = net.graph()
-        for u in range(0, 10):
-            for v in range(u + 1, 10):
-                assert net.can_communicate(u, v) == g.has_edge(u, v)
-
-    def test_can_communicate_same_node_raises(self, net):
-        with pytest.raises(ParameterError):
-            net.can_communicate(3, 3)
-
-    def test_link_key_present_iff_link(self, net):
-        g = net.graph()
-        checked_with = checked_without = False
-        for u in range(10):
-            for v in range(u + 1, 10):
-                key = net.link_key(u, v)
-                if g.has_edge(u, v):
-                    assert key is not None and len(key) == 16
-                    checked_with = True
-                else:
-                    assert key is None
-                    checked_without = True
-        assert checked_with and checked_without
-
-
-class TestFailures:
-    def test_failed_node_drops_edges(self, net):
-        before = net.graph().degrees()
-        victim = int(np.argmax(before))
-        net.fail_nodes([victim])
-        edges = net.secure_edges()
-        assert not ((edges[:, 0] == victim) | (edges[:, 1] == victim)).any()
-        assert net.live_count() == 29
-
-    def test_can_communicate_false_for_dead(self, net):
-        net.fail_nodes([0])
-        assert not net.can_communicate(0, 1)
-
-    def test_restore_all(self, net):
-        original = net.secure_edges().copy()
-        net.fail_nodes([0, 1, 2])
-        net.restore_all()
-        assert np.array_equal(net.secure_edges(), original)
-        assert net.live_count() == 30
-
-    def test_connectivity_on_live_subgraph(self):
-        # Fail everything except two linked sensors: connected again.
-        wsn = SecureWSN(10, QCompositeScheme(9, 10, 1), seed=2)  # dense rings
-        edges = wsn.secure_edges()
-        assert edges.shape[0] > 0
-        u, v = map(int, edges[0])
-        wsn.fail_nodes([x for x in range(10) if x not in (u, v)])
-        assert wsn.is_connected()
-
-    def test_graph_cache_invalidation(self, net):
-        g1 = net.graph()
-        net.fail_nodes([5])
-        g2 = net.graph()
-        assert g2.degree(5) == 0
-        assert g1 is not g2
-
-    def test_bad_node_id_raises(self, net):
-        with pytest.raises(ParameterError):
-            net.fail_nodes([99])
+        dep, ev = net
+        _, uniforms, _ = replay_deployment_stream(
+            dep, P, K, 77, needs_onoff=True, needs_disk=False
+        )
+        expect = _pairs(dep.candidates[uniforms < CHANNEL_P], N)
+        assert _pairs(ev.selected_keys("onoff", Q, CHANNEL_P), N) == expect
 
 
 class TestKConnectivity:
     def test_k_connectivity_consistent_with_graph(self, net):
-        from repro.graphs.vertex_connectivity import is_k_connected
+        _, ev = net
+        g = Graph(N, _pairs(ev.selected_keys("onoff", Q, CHANNEL_P), N))
+        kappa = vertex_connectivity(g)
+        assert 1 <= kappa < 3  # both outcomes occur below
+        for k in (1, 2, 3):
+            got = ev.evaluate("onoff", Q, CHANNEL_P, MetricSpec("k_connectivity", k=k))
+            assert bool(got) == is_k_connected(g, k) == (kappa >= k)
 
-        for k in (1, 2):
-            assert net.is_k_connected(k) == is_k_connected(net.graph(), k)
-
-    def test_k_connectivity_after_failures(self, net):
-        net.fail_nodes([0, 1])
-        # Should evaluate on the 28-node live subgraph without crashing.
-        result = net.is_k_connected(1)
-        assert isinstance(result, bool)
-        assert result == net.is_connected()
+    def test_k_connectivity_after_failures(self):
+        dep, ev = attacked_deployment(N, P, K, Q, seed=77)
+        # Evaluate on the 28-node live subgraph, independently rebuilt.
+        alive = np.ones(N, dtype=bool)
+        alive[dep.capture_order[:2]] = False
+        ids = np.cumsum(alive) - 1
+        live = [
+            (int(ids[u]), int(ids[v]))
+            for u, v in _pairs(ev.selected_keys("onoff", Q, CHANNEL_P), N)
+            if alive[u] and alive[v]
+        ]
+        metric = MetricSpec("survivor_connectivity", captured=2)
+        got = ev.evaluate("onoff", Q, CHANNEL_P, metric)
+        assert bool(got) == is_k_connected(Graph(N - 2, live), 1)

@@ -9,6 +9,8 @@ from repro.utils.rng import (
     as_generator,
     grid_seed_sequence,
     sample_distinct_integers,
+    spawn_generators,
+    spawn_seed_sequences,
     trial_seed_sequence,
 )
 
@@ -36,6 +38,36 @@ class TestAsGenerator:
         a = as_generator(ss).random(3)
         b = as_generator(np.random.SeedSequence(7)).random(3)
         assert np.array_equal(a, b)
+
+
+class TestSpawning:
+    def test_count(self):
+        assert len(spawn_generators(0, 5)) == 5
+
+    def test_zero_count(self):
+        assert spawn_generators(0, 0) == []
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError):
+            spawn_seed_sequences(0, -1)
+
+    def test_children_independent(self):
+        a, b = spawn_generators(123, 2)
+        assert not np.array_equal(a.random(10), b.random(10))
+
+    def test_deterministic_from_int(self):
+        a1, b1 = spawn_generators(9, 2)
+        a2, b2 = spawn_generators(9, 2)
+        assert np.array_equal(a1.random(4), a2.random(4))
+        assert np.array_equal(b1.random(4), b2.random(4))
+
+    def test_spawn_from_generator_deterministic(self):
+        g1 = np.random.default_rng(5)
+        g2 = np.random.default_rng(5)
+        c1 = spawn_generators(g1, 3)
+        c2 = spawn_generators(g2, 3)
+        for x, y in zip(c1, c2):
+            assert np.array_equal(x.random(4), y.random(4))
 
 
 class TestTrialSeedSequence:

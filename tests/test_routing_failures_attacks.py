@@ -1,136 +1,57 @@
-"""Tests for WSN routing, failure injection, and capture attacks."""
+"""Tests for node-capture attacks: the closed form and the deployment path."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.channels.onoff import OnOffChannel
+from repro.core.capture import analytic_compromise_fraction
 from repro.exceptions import ParameterError
-from repro.keygraphs.schemes import QCompositeScheme
-from repro.wsn.attacks import analytic_compromise_fraction, capture_attack
-from repro.wsn.failures import (
-    apply_random_failures,
-    connectivity_after_failures,
-    random_node_failures,
-    worst_case_failure_search,
-)
-from repro.wsn.metrics import summarize
-from repro.wsn.network import SecureWSN
-from repro.wsn.routing import find_secure_route, route_stretch
+from repro.study import MetricSpec, Scenario
+from tests.conftest import attacked_deployment
 
 
-@pytest.fixture
-def dense_net() -> SecureWSN:
-    """A network dense enough to be connected with high probability."""
-    return SecureWSN(25, QCompositeScheme(15, 60, 2), OnOffChannel(0.9), seed=5)
-
-
-class TestRouting:
-    def test_route_hops_are_secure_links(self, dense_net):
-        route = find_secure_route(dense_net, 0, 24)
-        if route is None:
-            pytest.skip("sampled topology disconnected; other seeds cover this")
-        g = dense_net.graph()
-        for a, b in zip(route.hops, route.hops[1:]):
-            assert g.has_edge(a, b)
-        assert len(route.link_keys) == route.length
-
-    def test_route_keys_match_link_keys(self, dense_net):
-        route = find_secure_route(dense_net, 0, 24)
-        if route is None:
-            pytest.skip("disconnected sample")
-        for (a, b), key in zip(zip(route.hops, route.hops[1:]), route.link_keys):
-            assert key == dense_net.scheme.link_key(
-                dense_net.rings[a], dense_net.rings[b]
-            )
-
-    def test_self_route(self, dense_net):
-        route = find_secure_route(dense_net, 3, 3)
-        assert route is not None and route.hops == [3] and route.length == 0
-
-    def test_route_to_dead_sensor_none(self, dense_net):
-        dense_net.fail_nodes([7])
-        assert find_secure_route(dense_net, 0, 7) is None
-
-    def test_bad_ids_raise(self, dense_net):
-        with pytest.raises(ParameterError):
-            find_secure_route(dense_net, 0, 99)
-
-    def test_stretch_at_least_one(self, dense_net):
-        val = route_stretch(dense_net, 0, 24)
-        if val is None:
-            pytest.skip("disconnected sample")
-        assert val >= 1.0 - 1e-12
-
-
-class TestFailures:
-    def test_random_failures_rate(self):
-        failed = random_node_failures(10000, 0.2, seed=1)
-        assert abs(failed.size / 10000 - 0.2) < 0.02
-
-    def test_zero_prob_no_failures(self):
-        assert random_node_failures(100, 0.0, seed=1).size == 0
-
-    def test_apply_marks_dead(self, dense_net):
-        failed = apply_random_failures(dense_net, 0.3, seed=2)
-        assert dense_net.live_count() == 25 - failed.size
-
-    def test_connectivity_after_failures_restores_state(self, dense_net):
-        before = dense_net.live_count()
-        connectivity_after_failures(dense_net, [0, 1, 2])
-        assert dense_net.live_count() == before
-
-    def test_connectivity_after_failures_preserves_existing_dead(self, dense_net):
-        dense_net.fail_nodes([3])
-        connectivity_after_failures(dense_net, [0, 1])
-        assert not dense_net.sensors[3].alive
-        assert dense_net.live_count() == 24
-
-    def test_worst_case_path_graph(self):
-        # A path network disconnects by removing any interior node; the
-        # exhaustive search must find a witness.
-        wsn = SecureWSN(10, QCompositeScheme(9, 10, 1), seed=1)
-        # Rings are all identical (K=9 of P=10 forces >= 8 shared): the
-        # key graph is complete, so fall back to a crafted check below.
-        survives, witness = worst_case_failure_search(wsn, 1)
-        assert survives and witness == []
-
-    def test_worst_case_too_many_failures_raises(self, dense_net):
-        with pytest.raises(ParameterError):
-            worst_case_failure_search(dense_net, 25)
-
-    def test_worst_case_zero_failures(self, dense_net):
-        survives, witness = worst_case_failure_search(dense_net, 0)
-        assert witness == []
-        assert survives == dense_net.is_connected()
+def _evaluate(ev, q, p, kind, captured):
+    return ev.evaluate("onoff", q, p, MetricSpec(kind, captured=captured))
 
 
 class TestCaptureAttack:
-    def test_zero_captured_nothing_compromised(self, dense_net):
-        result = capture_attack(dense_net, 0, seed=1)
-        assert result.links_compromised == 0
-        assert result.compromise_fraction == 0.0
+    def test_zero_captured_nothing_compromised(self):
+        _, ev = attacked_deployment(25, 60, 15, 2, seed=5)
+        assert _evaluate(ev, 2, 0.9, "attack_compromised", 0) == 0.0
+        links = int(ev.curve_mask("onoff", 2, 0.9).sum())
+        assert _evaluate(ev, 2, 0.9, "attack_evaluated", 0) == float(links)
 
-    def test_captured_links_excluded(self, dense_net):
-        result = capture_attack(dense_net, 5, seed=2)
-        captured = set(result.captured_nodes)
+    def test_captured_links_excluded(self):
+        dep, ev = attacked_deployment(25, 60, 15, 2, seed=2)
+        captured = {int(x) for x in dep.capture_order[:5]}
         # Evaluated links must avoid captured endpoints entirely.
         count = 0
-        for u, v in dense_net.secure_edges():
-            if int(u) not in captured and int(v) not in captured:
+        for key in ev.selected_keys("onoff", 2, 0.9):
+            u, v = divmod(int(key), dep.num_nodes)
+            if u not in captured and v not in captured:
                 count += 1
-        assert result.links_evaluated == count
+        assert _evaluate(ev, 2, 0.9, "attack_evaluated", 5) == float(count)
 
-    def test_capture_whole_network_raises(self, dense_net):
-        with pytest.raises(ParameterError):
-            capture_attack(dense_net, 25)
+    def test_capture_whole_network_raises(self):
+        with pytest.raises(ParameterError, match="at least two must survive"):
+            Scenario(
+                name="capture_all",
+                num_nodes=25,
+                pool_size=60,
+                ring_sizes=(15,),
+                curves=((2, 0.9),),
+                metrics=(MetricSpec("attack_compromised", captured=25),),
+                trials=1,
+            )
 
     def test_more_captures_more_compromise(self):
-        wsn = SecureWSN(60, QCompositeScheme(20, 200, 1), seed=9)
-        small = capture_attack(wsn, 3, seed=1)
-        large = capture_attack(wsn, 40, seed=1)
-        assert large.compromise_fraction >= small.compromise_fraction
+        _, ev = attacked_deployment(60, 200, 20, 1, seed=9)
+
+        def fraction(captured):
+            hit = _evaluate(ev, 1, 1.0, "attack_compromised", captured)
+            return hit / _evaluate(ev, 1, 1.0, "attack_evaluated", captured)
+
+        assert fraction(40) >= fraction(3)
 
     def test_analytic_monotone_in_x(self):
         vals = [
@@ -167,21 +88,3 @@ class TestCaptureAttack:
         for x in (0, 1, 10, 1000):
             v = analytic_compromise_fraction(30, 1000, 2, x)
             assert 0.0 <= v <= 1.0
-
-
-class TestMetrics:
-    def test_summary_fields(self, dense_net):
-        s = summarize(dense_net)
-        assert s.num_nodes == 25
-        assert s.num_live == 25
-        assert s.num_secure_links == dense_net.secure_edges().shape[0]
-        assert 0 <= s.min_degree <= s.mean_degree
-        assert s.connected == dense_net.is_connected()
-
-    def test_summary_skip_clustering(self, dense_net):
-        s = summarize(dense_net, with_clustering=False)
-        assert np.isnan(s.clustering)
-
-    def test_summary_to_dict(self, dense_net):
-        d = summarize(dense_net).to_dict()
-        assert "min_degree" in d and "connected" in d

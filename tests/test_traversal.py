@@ -1,4 +1,4 @@
-"""Tests for BFS traversal and connected components."""
+"""Tests for BFS/DFS traversal, components, shortest paths."""
 
 from __future__ import annotations
 
@@ -10,7 +10,9 @@ from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     bfs_order,
     connected_components,
+    eccentricity,
     is_connected,
+    shortest_path,
 )
 from tests.conftest import random_gnp_graph
 
@@ -63,3 +65,43 @@ class TestIsConnected:
 
     def test_two_parts(self):
         assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
+
+
+class TestShortestPath:
+    def test_trivial(self):
+        assert shortest_path(Graph(3), 1, 1) == [1]
+
+    def test_disconnected_returns_none(self):
+        assert shortest_path(Graph(3, [(0, 1)]), 0, 2) is None
+
+    def test_path_validity_and_length(self, rng):
+        for _ in range(25):
+            g = random_gnp_graph(int(rng.integers(3, 30)), 0.15, rng)
+            ng = _to_nx(g)
+            s, t = 0, g.num_nodes - 1
+            ours = shortest_path(g, s, t)
+            if ours is None:
+                assert not nx.has_path(ng, s, t)
+                continue
+            # Each hop must be a real edge, length must be optimal.
+            for a, b in zip(ours, ours[1:]):
+                assert g.has_edge(a, b)
+            assert len(ours) - 1 == nx.shortest_path_length(ng, s, t)
+
+    def test_bad_nodes_raise(self):
+        g = Graph(3)
+        with pytest.raises(GraphError):
+            shortest_path(g, 0, 7)
+        with pytest.raises(GraphError):
+            shortest_path(g, 7, 0)
+
+
+class TestEccentricity:
+    def test_path_graph_endpoint(self):
+        assert eccentricity(Graph.path(5), 0) == 4
+
+    def test_path_graph_center(self):
+        assert eccentricity(Graph.path(5), 2) == 2
+
+    def test_isolated(self):
+        assert eccentricity(Graph(3), 0) == 0

@@ -1,42 +1,67 @@
-"""Remaining coverage: disk-channel WSN wiring and the CLI `all` path."""
+"""The disk channel on the deployment path, and the CLI `all` path."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.channels.disk import DiskChannel
-from repro.keygraphs.schemes import QCompositeScheme
-from repro.wsn.network import SecureWSN
+from repro.keygraphs.uniform_graph import edges_from_rings
+from repro.study.metrics import DeploymentEvaluator, disk_radius, sample_deployment
+from tests.conftest import replay_deployment_stream, torus_distance
+
+
+def _disk_deployment(num_nodes, pool_size, ring_size, q, seed):
+    return sample_deployment(
+        num_nodes,
+        pool_size,
+        ring_size,
+        q,
+        np.random.default_rng(seed),
+        needs_onoff=False,
+        needs_disk=True,
+    )
 
 
 class TestDiskChannelWsn:
     def test_sensor_positions_populated(self):
-        wsn = SecureWSN(20, QCompositeScheme(8, 100, 1), DiskChannel(0.4), seed=1)
-        for sensor in wsn.sensors:
-            assert sensor.position is not None
-            x, y = sensor.position
-            assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
+        dep = _disk_deployment(20, 100, 8, 1, seed=1)
+        # One torus distance per candidate pair, bounded by the torus
+        # diameter sqrt(2)/2.
+        assert dep.pair_dists.shape == dep.candidates.shape
+        assert dep.candidates.size > 0
+        assert dep.pair_dists.min() >= 0.0
+        assert dep.pair_dists.max() <= math.sqrt(2.0) / 2.0 + 1e-12
 
     def test_onoff_wsn_has_no_positions(self):
-        wsn = SecureWSN(10, QCompositeScheme(5, 50, 1), seed=2)
-        assert all(s.position is None for s in wsn.sensors)
+        dep = sample_deployment(10, 50, 5, 1, np.random.default_rng(2))
+        assert dep.pair_dists is None
+        assert dep.uniforms is not None
 
     def test_links_respect_radius(self):
-        wsn = SecureWSN(
-            30, QCompositeScheme(20, 40, 1), DiskChannel(0.3, torus=False), seed=3
+        dep = _disk_deployment(30, 40, 20, 1, seed=3)
+        rings, _, positions = replay_deployment_stream(
+            dep, 40, 20, 3, needs_onoff=False, needs_disk=True
         )
-        positions = np.array([s.position for s in wsn.sensors])
-        for u, v in wsn.secure_edges():
-            dist = float(np.linalg.norm(positions[int(u)] - positions[int(v)]))
-            assert dist <= 0.3 + 1e-12
+        assert np.array_equal(rings, dep.rings)
+        p = 0.28
+        links = DeploymentEvaluator(dep).selected_keys("disk", 1, p)
+        assert links.size > 0
+        for key in links:
+            u, v = divmod(int(key), dep.num_nodes)
+            dist = torus_distance(positions[u], positions[v])
+            assert dist <= disk_radius(p) + 1e-12
 
     def test_geometry_only_thins_key_graph(self):
-        wsn = SecureWSN(
-            30, QCompositeScheme(10, 100, 2), DiskChannel(0.25), seed=4
-        )
-        key = {tuple(map(int, e)) for e in wsn.key_graph_edges}
-        secure = {tuple(map(int, e)) for e in wsn.secure_edges()}
+        dep = _disk_deployment(30, 100, 10, 2, seed=4)
+        n = dep.num_nodes
+        key = {tuple(map(int, e)) for e in edges_from_rings(dep.rings, 2)}
+        secure = {
+            divmod(int(k), n)
+            for k in DeploymentEvaluator(dep).selected_keys("disk", 2, 0.2)
+        }
         assert secure <= key
+        assert len(secure) < len(key)
 
 
 class TestCliAll:
